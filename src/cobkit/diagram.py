@@ -146,6 +146,18 @@ class Diagram:
     def wedge_by_id(self):
         return {w.id: w for w in self.wedges}
 
+    @cached_property
+    def linking_counts(self):
+        """Signed crossing count per unordered pair of circle ids, built in
+        one sweep over the crossings.  Keys are ``(a, b)`` with ``a <= b``;
+        ``(a, a)`` holds the self-crossings of ``a``.  Pairs that never
+        cross are absent."""
+        counts = {}
+        for x in self.crossings:
+            key = _pair(x.over[0], x.under[0])
+            counts[key] = counts.get(key, 0) + x.sign
+        return counts
+
     def circle(self, cid) -> Circle:
         try:
             return self.circle_by_id[cid]
@@ -193,12 +205,21 @@ def crossings_between(d: Diagram, a: str, b: str):
     return found
 
 
+def _pair(a, b):
+    return (a, b) if a <= b else (b, a)
+
+
 def linking_number(d: Diagram, a: str, b: str) -> int:
     """Half the signed count of crossings between two distinct circles."""
     if a == b:
         raise ValueError("linking number needs two distinct circles")
     d.circle(a), d.circle(b)
-    total = sum(x.sign for x in crossings_between(d, a, b))
+    return _linking_from_counts(d.linking_counts, a, b)
+
+
+def _linking_from_counts(counts, a, b):
+    """Linking number of two distinct, known circles from the table."""
+    total = counts.get(_pair(a, b), 0)
     if total % 2:
         raise MalformedDiagramError(
             f"odd signed crossing count between {a} and {b}")
@@ -208,26 +229,25 @@ def linking_number(d: Diagram, a: str, b: str) -> int:
 def linking_matrix(d: Diagram):
     """Symmetric matrix over the surgery circles: framings on the diagonal,
     linking numbers off it.  Returns an :class:`cobkit.invariants.IntMatrix`.
+
+    Every entry is read from :attr:`Diagram.linking_counts`, the signed
+    crossing counts gathered in one sweep over the crossings, so the
+    matrix costs O(X + n^2) for X crossings and n surgery circles.
     """
     from .invariants import IntMatrix
 
     surg = d.surgery_circles()
-    n = len(surg)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(surg[i].framing)
-            else:
-                row.append(linking_number(d, surg[i].id, surg[j].id))
-        rows.append(tuple(row))
-    return IntMatrix(tuple(rows))
+    counts = d.linking_counts
+    return IntMatrix(tuple(
+        tuple(ci.framing if i == j
+              else _linking_from_counts(counts, ci.id, cj.id)
+              for j, cj in enumerate(surg))
+        for i, ci in enumerate(surg)))
 
 
 def writhe(d: Diagram, a: str) -> int:
     """Signed count of self-crossings of one circle."""
-    return sum(x.sign for x in crossings_between(d, a, a))
+    return d.linking_counts.get((a, a), 0)
 
 
 def resequence(events, start):

@@ -25,7 +25,7 @@ that they contribute one edge and two faces, like an embedded circle.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from .diagram import (CenterSlot, CrossingSlot, Diagram, OVER, UNDER,
@@ -258,7 +258,7 @@ def _structural_violations(d: Diagram):
 
     ids = [c.id for c in d.circles] + [x.id for x in d.crossings] + \
           [w.id for w in d.wedges]
-    dupes = {i for i in ids if ids.count(i) > 1}
+    dupes = [i for i, n in Counter(ids).items() if n > 1]
     for i in sorted(dupes):
         err("duplicate-id", f"id {i!r} used more than once", i)
     if dupes:

@@ -55,6 +55,28 @@ def outgoing_corpus():
     return corpus_with_wedge("outgoing")
 
 
+def det(m):
+    """Exact determinant of a square IntMatrix by fraction-free (Bareiss)
+    elimination: every division is exact, so entries stay integers."""
+    a = [list(row) for row in m.entries]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
 def random_diagram(rng: random.Random):
     """A small random valid diagram assembled from builder pieces and a
     few random moves."""

@@ -9,9 +9,10 @@ import pytest
 
 from cobkit import (AbelianGroup, IntMatrix, borromean, boundary_profile,
                     h1_closed, h1_cobordism, hopf, identity_diagram,
-                    sigma_g_s1_link, signature, smith_normal_form, tensor,
-                    unknot, wedge_row)
+                    linking_matrix, mend, sigma_g_s1_link, signature,
+                    smith_normal_form, tensor, unknot, wedge_row)
 from cobkit.errors import PreconditionError
+from conftest import det
 
 
 # -- independent oracle -------------------------------------------------------
@@ -28,7 +29,7 @@ def _minor_gcd(m: IntMatrix, k: int) -> int:
         for csel in itertools.combinations(cols, k):
             sub = IntMatrix(tuple(tuple(m.entries[i][j] for j in csel)
                                   for i in rsel))
-            g = math.gcd(g, sub.det())
+            g = math.gcd(g, det(sub))
     return g
 
 
@@ -46,7 +47,78 @@ def snf_diagonal_oracle(m: IntMatrix):
 
 
 def _is_unimodular(u: IntMatrix) -> bool:
-    return u.det() in (1, -1)
+    return det(u) in (1, -1)
+
+
+def _leibniz_det(m: IntMatrix) -> int:
+    total = 0
+    for perm in itertools.permutations(range(m.rows)):
+        inversions = sum(perm[i] > perm[j] for i, j in
+                         itertools.combinations(range(m.rows), 2))
+        total += (-1) ** inversions * math.prod(
+            m.entries[i][perm[i]] for i in range(m.rows))
+    return total
+
+
+def _random_matrix(rng, r, c, density=1.0, bound=4):
+    return IntMatrix(tuple(
+        tuple(rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(c))
+        for _ in range(r)))
+
+
+def test_bareiss_det_matches_permutation_expansion():
+    rng = random.Random(271828)
+    for _ in range(150):
+        n = rng.randint(0, 5)
+        m = _random_matrix(rng, n, n, density=rng.choice([0.3, 0.7, 1.0]))
+        assert det(m) == _leibniz_det(m), m.entries
+
+
+def _naive_mul(a: IntMatrix, b: IntMatrix):
+    return tuple(tuple(sum(a.entries[i][k] * b.entries[k][j]
+                           for k in range(a.cols))
+                       for j in range(b.cols))
+                 for i in range(a.rows))
+
+
+def test_mul_matches_naive_product():
+    rng = random.Random(1729)
+    for _ in range(200):
+        r, k, c = (rng.randint(1, 7) for _ in range(3))
+        density = rng.choice([0.0, 0.15, 0.5, 1.0])
+        a = _random_matrix(rng, r, k, density, bound=10 ** 12)
+        b = _random_matrix(rng, k, c, density)
+        assert a.mul(b).entries == _naive_mul(a, b)
+    for r, k, c in ((3, 3, 3), (2, 5, 1), (4, 1, 6)):
+        z = IntMatrix.zero(r, k)
+        m = _random_matrix(rng, k, c)
+        assert z.mul(m).entries == IntMatrix.zero(r, c).entries
+        assert IntMatrix.identity(r).mul(z).entries == z.entries
+    with pytest.raises(ValueError):
+        IntMatrix.zero(2, 3).mul(IntMatrix.zero(2, 3))
+
+
+def test_snf_zero_and_rank_deficient():
+    rng = random.Random(577215)
+    cases = [IntMatrix.zero(r, c) for r, c in ((1, 1), (1, 5), (5, 1), (4, 6))]
+    cases += [IntMatrix(((2, 4), (1, 2))),
+              IntMatrix(((0, 0, 0), (0, 6, 0), (0, 0, 0)))]
+    for _ in range(60):
+        r, c = rng.randint(2, 5), rng.randint(2, 5)
+        base = _random_matrix(rng, rng.randint(1, r - 1), c, bound=3)
+        rows = [tuple(rng.choice([1, -2]) * x for x in
+                      base.entries[rng.randrange(base.rows)])
+                for _ in range(r - base.rows)]
+        cases.append(IntMatrix(base.entries + tuple(rows)))
+    for m in cases:
+        u, d, v = smith_normal_form(m)
+        assert u.mul(m).mul(v).entries == d.entries, m.entries
+        assert _is_unimodular(u) and _is_unimodular(v)
+        assert d.diagonal() == snf_diagonal_oracle(m), m.entries
+        if not any(any(row) for row in m.entries):
+            assert u == IntMatrix.identity(m.rows)
+            assert v == IntMatrix.identity(m.cols)
 
 
 def test_snf_zero_matrix():
@@ -134,6 +206,19 @@ def test_signature_exactness_vs_eigen_free_cases():
     assert signature(hopf(2, 3)) == 2          # det 5 > 0, trace > 0
     assert signature(hopf(1, -3)) == 0         # det -4 < 0
     assert signature(borromean(1, 1, 1)) == 3
+
+
+def test_invariants_at_genus_32():
+    g = 32
+    sigma = sigma_g_s1_link(g)
+    mended = mend(identity_diagram(g), "V", "U")
+    both = tensor(identity_diagram(g), sigma)
+    for d, rank in ((sigma, 2 * g + 1), (mended, 2 * g + 1),
+                    (both, 4 * g + 1)):
+        assert all(x == 0 for row in linking_matrix(d).entries for x in row)
+        assert h1_cobordism(d) == AbelianGroup(rank=rank)
+    assert signature(sigma) == 0
+    assert signature(mended) == 0
 
 
 def test_abelian_group_str():

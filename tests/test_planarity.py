@@ -107,3 +107,12 @@ def test_order_cover_violations():
     bad = Diagram(circles=base.circles, crossings=base.crossings,
                   wedges=base.wedges, source_order=(), target_order=())
     assert "order-cover" in validate(bad).codes()
+
+
+def test_duplicate_id_violations_sorted():
+    b = borromean(0, 0, 0)
+    k1, k2, k3 = b.circles
+    bad = Diagram(circles=(k3, k2, k1, k3, k1), crossings=b.crossings)
+    report = validate(bad)
+    assert report.codes() == ["duplicate-id", "duplicate-id"]
+    assert [v.location for v in report.violations] == ["k1", "k3"]
