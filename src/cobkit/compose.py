@@ -32,10 +32,10 @@ Merges relabel their inputs deterministically: after ``tensor(a, b)`` or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .diagram import (CenterSlot, CrossingSlot, Diagram, INCOMING, OUTGOING,
-                      OVER, UNDER, relabel)
+                      OVER, UNDER, crossings_between, relabel)
 from .editing import DiagramEditor, borromean_motif_events
 from .errors import (CompositionError, GenusMismatchError,
                      NotStandardPositionError)
@@ -130,6 +130,7 @@ def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
                 {e.enter_slot, e.leave_slot})
         raw_bands.append(excs)
 
+    wedge_crossings = _crossings_of_wedge(d, w)
     bands = []
     for excs in raw_bands:
         events = []
@@ -138,7 +139,7 @@ def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
             dead = removed[e.strand] | {
                 s for s, ev in enumerate(strand_events)
                 if isinstance(ev, CrossingSlot)
-                and ev.crossing in _crossings_of_wedge(d, w)}
+                and ev.crossing in wedge_crossings}
             gap = sum(1 for s in range(e.enter_slot)
                       if s not in dead
                       and not isinstance(strand_events[s], CenterSlot))
@@ -167,9 +168,7 @@ def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
         for e in band:
             evs = interior.circle(e.strand).events
             offset = 1 if (evs and isinstance(evs[0], CenterSlot)) else 0
-            out.append(BandEvent(kind=e.kind, strand=e.strand,
-                                 direction=e.direction, gap=e.gap + offset,
-                                 seq=e.seq, enter_sign=e.enter_sign))
+            out.append(replace(e, gap=e.gap + offset))
         rebased.append(tuple(out))
 
     return HandlebodyPattern(
@@ -216,34 +215,15 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
     host = relabel(dd, "d.")
     v_id = "d." + v
     ed = DiagramEditor(host)
-
-    # Merge the planted interior.
-    ed.circle_order.extend(c.id for c in plant.circles)
-    for c in plant.circles:
-        ed.events[c.id] = list(c.events)
-        ed.kind[c.id] = c.kind
-        if c.is_surgery():
-            ed.framing[c.id] = c.framing
-        else:
-            ed.wedge_of[c.id] = (c.wedge, c.index)
-    for w in plant.wedges:
-        ed.wedges[w.id] = (w.color, list(w.circle_ids))
-        ed.wedge_order.append(w.id)
-    for x in plant.crossings:
-        ed.signs[x.id] = x.sign
-    ed.source_order.extend(plant.source_order)
-    ed.target_order.extend(plant.target_order)
+    ed.load(plant)
 
     # Splice blocks accumulate per interior strand: (gap, seq, events).
     splices = {}
 
     wv_host = host.wedge(v_id)
     for band_index, vcid in enumerate(wv_host.circle_ids):
-        markers = [
-            BandEvent(kind=e.kind, strand="c." + e.strand,
-                      direction=e.direction, gap=e.gap, seq=e.seq,
-                      enter_sign=e.enter_sign)
-            for e in pattern.bands[band_index]]
+        markers = [replace(e, strand="c." + e.strand)
+                   for e in pattern.bands[band_index]]
         cables = [m for m in markers if m.kind == "traverse"]
         n = len(cables)
         vc = host.circle(vcid)
@@ -276,10 +256,9 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
             x = host.crossing(ev.crossing)
             other_role = UNDER if ev.role == OVER else OVER
             t_cid, t_slot = x.strand(other_role)
-            rl = _crosses_right_to_left(host, ev.crossing, vcid)
             block = [CrossingSlot(copies[(j, k)], other_role)
                      for k in range(n)]
-            if not rl:
+            if not x.right_to_left(vcid):
                 block.reverse()
             at = ed.events[t_cid].index(host.circle(t_cid).events[t_slot])
             ed.replace_event(t_cid, at, block)
@@ -324,12 +303,6 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
     return out
 
 
-def _crosses_right_to_left(d: Diagram, xid: str, of_circle: str) -> bool:
-    x = d.crossing(xid)
-    role_of_c = OVER if x.over[0] == of_circle else UNDER
-    return (x.sign == 1) if role_of_c == OVER else (x.sign == -1)
-
-
 def make_identity_link(d: Diagram, u: str, v: str) -> Diagram:
     """Link a clean outgoing/incoming wedge pair into the identity-link
     configuration (the Twist move)."""
@@ -360,8 +333,7 @@ def _find_clasp(d: Diagram, a: str, b: str):
     returns (c1, c2, slot_a, slot_b) or raises."""
     ea = d.circle(a).events
     eb = d.circle(b).events
-    between = [x for x in d.crossings
-               if {x.over[0], x.under[0]} == {a, b}]
+    between = crossings_between(d, a, b)
     if len(between) != 2:
         raise CompositionError(
             f"{a} and {b} cross {len(between)} times, not 2: not an "

@@ -91,14 +91,12 @@ class Crossing:
     def strand(self, role):
         return self.over if role == OVER else self.under
 
-    def other_role(self, circle_id, slot):
-        """Role of the strand that is *not* (circle_id, slot)."""
-        if self.over == (circle_id, slot):
-            return UNDER
-        if self.under == (circle_id, slot):
-            return OVER
-        raise MalformedDiagramError(
-            f"crossing {self.id} does not touch ({circle_id}, {slot})")
+    def right_to_left(self, circle_id):
+        """Does the other strand cross circle ``circle_id`` from its right
+        side to its left side here?  By the sign convention this holds
+        exactly when the sign is +1 with the circle over, or -1 with it
+        under."""
+        return self.sign == (1 if self.over[0] == circle_id else -1)
 
 
 @dataclass(frozen=True)
@@ -181,15 +179,6 @@ class Diagram:
 
     def wedge_circles(self):
         return [c for c in self.circles if c.is_wedge()]
-
-    def role_of(self, xid, circle_id, slot):
-        x = self.crossing(xid)
-        if x.over == (circle_id, slot):
-            return OVER
-        if x.under == (circle_id, slot):
-            return UNDER
-        raise MalformedDiagramError(
-            f"crossing {xid} does not reference ({circle_id}, {slot})")
 
 
 def crossings_between(d: Diagram, a: str, b: str):

@@ -45,6 +45,8 @@ class DiagramEditor:
         return twin
 
     def load(self, d: Diagram):
+        """Merge ``d`` after what the editor already holds; its ids must
+        not clash with the ones already loaded."""
         for c in d.circles:
             self.circle_order.append(c.id)
             self.events[c.id] = list(c.events)
@@ -58,8 +60,8 @@ class DiagramEditor:
             self.wedge_order.append(w.id)
         for x in d.crossings:
             self.signs[x.id] = x.sign
-        self.source_order = list(d.source_order)
-        self.target_order = list(d.target_order)
+        self.source_order.extend(d.source_order)
+        self.target_order.extend(d.target_order)
 
     # -- id management ---------------------------------------------------
 

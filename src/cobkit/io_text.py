@@ -10,6 +10,8 @@ decimal strings; the parser accepts both forms.
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import MISSING, fields
 
 from .diagram import (CenterSlot, Circle, Crossing, CrossingSlot, Diagram,
                       SURGERY, WEDGE, Wedge)
@@ -169,74 +171,65 @@ def parse(text: str) -> Diagram:
 
 # -- move scripts -------------------------------------------------------------
 
-def _move_to_obj(m):
-    if isinstance(m, _moves.BlowUp):
-        return {"kind": "blow_up", "sign": m.sign,
-                **({"site": list(m.site)} if m.site else {})}
-    if isinstance(m, _moves.BlowDown):
-        return {"kind": "blow_down", "circle": m.circle}
-    if isinstance(m, _moves.HandleSlide):
-        obj = {"kind": "handle_slide", "moving": m.moving, "over": m.over}
-        if m.site:
-            obj["site"] = [list(m.site[0]), list(m.site[1])]
-        return obj
-    if isinstance(m, _moves.R1):
-        if m.crossing is not None:
-            return {"kind": "r1", "crossing": m.crossing}
-        return {"kind": "r1", "site": list(m.site), "sign": m.sign}
-    if isinstance(m, _moves.R2):
-        if m.crossings is not None:
-            return {"kind": "r2", "crossings": list(m.crossings)}
-        return {"kind": "r2", "darts": [list(m.darts[0]), list(m.darts[1])],
-                "over": m.over}
-    if isinstance(m, _moves.R3):
-        return {"kind": "r3", "site": list(m.site)}
-    if isinstance(m, _moves.Twist):
-        return {"kind": "twist", "incoming": m.incoming,
-                "outgoing": m.outgoing}
-    raise ParseError(f"unknown move {m!r}")
+def _move_kind(cls):
+    """Wire name of a move class: its name in snake_case (``HandleSlide``
+    -> ``handle_slide``, ``R1`` -> ``r1``)."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
 
 
-def _obj_to_move(obj, where):
+def _tuple_in(raw):
+    if not isinstance(raw, list):
+        raise TypeError("expected a list")
+    return tuple(_tuple_in(v) if isinstance(v, list) else v for v in raw)
+
+
+def _wire_out(value):
+    if isinstance(value, tuple):
+        return [_wire_out(v) for v in value]
+    return value
+
+
+# Field annotation (without ``| None``) -> coercion of its wire value.
+_FIELD_IN = {"int": int, "str": str, "bool": bool, "tuple": _tuple_in}
+
+
+def _encode_move(m):
+    if type(m) not in _moves._HANDLERS:
+        raise ParseError(f"unknown move {m!r}")
+    obj = {"kind": _move_kind(type(m))}
+    for f in fields(m):
+        value = getattr(m, f.name)
+        if value is not None:
+            obj[f.name] = _wire_out(value)
+    return obj
+
+
+def _decode_move(obj, where):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"bad move at {where}", where)
     kind = obj["kind"]
-    try:
-        if kind == "blow_up":
-            site = tuple(obj["site"]) if "site" in obj else None
-            return _moves.BlowUp(sign=int(obj["sign"]), site=site)
-        if kind == "blow_down":
-            return _moves.BlowDown(circle=str(obj["circle"]))
-        if kind == "handle_slide":
-            site = None
-            if "site" in obj:
-                site = (tuple(obj["site"][0]), tuple(obj["site"][1]))
-            return _moves.HandleSlide(moving=str(obj["moving"]),
-                                      over=str(obj["over"]), site=site)
-        if kind == "r1":
-            if "crossing" in obj:
-                return _moves.R1(crossing=str(obj["crossing"]))
-            return _moves.R1(site=tuple(obj["site"]),
-                             sign=int(obj.get("sign", 1)))
-        if kind == "r2":
-            if "crossings" in obj:
-                return _moves.R2(crossings=tuple(map(str, obj["crossings"])))
-            return _moves.R2(darts=(tuple(obj["darts"][0]),
-                                    tuple(obj["darts"][1])),
-                             over=bool(obj.get("over", True)))
-        if kind == "r3":
-            return _moves.R3(site=tuple(obj["site"]))
-        if kind == "twist":
-            return _moves.Twist(incoming=str(obj["incoming"]),
-                                outgoing=str(obj["outgoing"]))
-    except (KeyError, IndexError, TypeError, ValueError):
-        raise ParseError(f"malformed {kind} move at {where}", where) from None
-    raise ParseError(f"unknown move kind {kind!r} at {where}", where)
+    cls = next((c for c in _moves._HANDLERS if _move_kind(c) == kind), None)
+    if cls is None:
+        raise ParseError(f"unknown move kind {kind!r} at {where}", where)
+    args = {}
+    for f in fields(cls):
+        if f.name not in obj:
+            if f.default is MISSING:
+                raise ParseError(f"malformed {kind} move at {where}: "
+                                 f"missing {f.name!r}", where)
+            continue
+        coerce = _FIELD_IN[f.type.partition(" | ")[0]]
+        try:
+            args[f.name] = coerce(obj[f.name])
+        except (TypeError, ValueError):
+            raise ParseError(f"malformed {kind} move at {where}: "
+                             f"bad {f.name!r}", where) from None
+    return cls(**args)
 
 
 def serialize_move_script(script) -> str:
     doc = {"format_version": FORMAT_VERSION,
-           "moves": [_move_to_obj(m) for m in script]}
+           "moves": [_encode_move(m) for m in script]}
     return json.dumps(doc, sort_keys=True, separators=(",", ": "),
                       indent=1) + "\n"
 
@@ -251,5 +244,5 @@ def parse_move_script(text: str):
         raise ParseError("unsupported move script format_version",
                          "format_version")
     return _moves.MoveScript(tuple(
-        _obj_to_move(obj, f"moves[{i}]")
+        _decode_move(obj, f"moves[{i}]")
         for i, obj in enumerate(doc.get("moves", []))))

@@ -5,7 +5,9 @@ its spanning disk (the *membrane*) lies on the left of the traversal.
 A strand crossing the circle therefore either enters or leaves the
 membrane region, and which one is decided locally by the crossing:
 
-    enters  <=>  (circle is over and sign +1) or (circle is under and -1)
+    enters  <=>  the strand crosses the circle from right to left,
+
+which is :meth:`cobkit.diagram.Crossing.right_to_left`.
 
 Successive crossings of one strand with the circle pair up into
 *excursions* (enter, then leave).  An excursion whose two crossings have
@@ -70,15 +72,6 @@ def is_simple(d: Diagram, cid: str) -> bool:
     return not crossings_between(d, cid, cid)
 
 
-def crossing_enters(d: Diagram, xid: str, membrane_circle: str) -> bool:
-    """Does the other strand enter the membrane at this crossing?"""
-    x = d.crossing(xid)
-    role_of_c = OVER if x.over[0] == membrane_circle else UNDER
-    if role_of_c == OVER:
-        return x.sign == 1
-    return x.sign == -1
-
-
 def excursions_into(d: Diagram, strand_id: str, membrane_circle: str):
     """The strand's excursions into the membrane region, in strand order.
 
@@ -100,7 +93,7 @@ def excursions_into(d: Diagram, strand_id: str, membrane_circle: str):
         raise NotStandardPositionError(
             f"strand {strand_id} crosses {membrane_circle} an odd number of times")
 
-    flags = [crossing_enters(d, ev.crossing, membrane_circle)
+    flags = [d.crossing(ev.crossing).right_to_left(membrane_circle)
              for _, ev in visits]
     if True not in flags:
         raise NotStandardPositionError(
@@ -194,20 +187,17 @@ def piercings(d: Diagram, cid: str):
     return out
 
 
-def membrane_side_faces(d: Diagram, cid: str):
-    """Faces on the membrane side of a crossing-free simple wedge circle.
+def membrane_side_faces(m, cid: str):
+    """Faces of the map ``m`` on the membrane side of a crossing-free
+    simple wedge circle.
 
     Used to decide region containment between non-crossing wedge circles:
     the membrane side is the set of faces reachable in the dual graph
     without stepping across the circle, starting from its left.
     """
-    from .planarity import CombinatorialMap, Dart, reverse
+    from .planarity import Dart, reverse
 
-    m = CombinatorialMap(d)
-    face_of = {}
-    for i, face in enumerate(m.faces()):
-        for dart in face:
-            face_of[dart] = i
+    face_of = m.face_of
     adjacency = {}
     for dart, i in face_of.items():
         if dart.circle == cid:
@@ -249,15 +239,11 @@ def is_standard_position(d: Diagram) -> bool:
     if not wcircles:
         return True
     m = CombinatorialMap(d)
-    face_of = {}
-    for i, face in enumerate(m.faces()):
-        for dart in face:
-            face_of[dart] = i
     for c in wcircles:
-        inside = membrane_side_faces(d, c.id)
+        inside = membrane_side_faces(m, c.id)
         for other in wcircles:
             if other.id == c.id or other.wedge == c.wedge:
                 continue
-            if face_of[Dart(other.id, 0, 1)] in inside:
+            if m.face_of[Dart(other.id, 0, 1)] in inside:
                 return False
     return True

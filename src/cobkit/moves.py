@@ -21,7 +21,12 @@ Implemented moves
 
 The move vocabulary is deliberately extensible: ``apply`` dispatches on
 the move class, so further local-move families can be registered without
-touching the engine.  Sites are darts ``(circle, arc, dir)`` of the
+touching the engine.  Registering a move class in ``_HANDLERS`` also
+gives it its move-script codec (:mod:`cobkit.io_text`): a move is written
+as an object whose ``kind`` is the class name in snake_case (``r1``,
+``blow_up``, ``handle_slide``) and which carries every field whose value
+is not ``None``, tuples as nested lists; reading fills absent fields from
+the dataclass defaults.  Sites are darts ``(circle, arc, dir)`` of the
 target diagram.
 """
 
@@ -84,7 +89,7 @@ class R2(Move):
 
 @dataclass(frozen=True)
 class R3(Move):
-    site: tuple = ()             # one dart on the triangle face
+    site: tuple                  # one dart on the triangle face
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,15 @@ def _check(d: Diagram, context: str) -> Diagram:
     return d
 
 
+def _neighbours(c, slot_a, slot_b) -> bool:
+    """Are two event slots consecutive along circle ``c``?  A surgery
+    circle's last slot also neighbours its first; a wedge circle's do not,
+    because the center sits between them."""
+    s1, s2 = sorted((slot_a, slot_b))
+    return s2 == s1 + 1 or (c.is_surgery() and s1 == 0
+                            and s2 == len(c.events) - 1)
+
+
 # -- R1 ---------------------------------------------------------------------
 
 def _apply_r1(d: Diagram, m: R1) -> Diagram:
@@ -125,11 +139,7 @@ def _apply_r1(d: Diagram, m: R1) -> Diagram:
         if x is None or x.over[0] != x.under[0]:
             raise MoveError(f"no kink at crossing {m.crossing}", m.crossing)
         cid = x.over[0]
-        c = d.circle(cid)
-        s1, s2 = sorted((x.over[1], x.under[1]))
-        n = len(c.events)
-        adjacent = (s2 == s1 + 1) or (c.is_surgery() and s1 == 0 and s2 == n - 1)
-        if not adjacent:
+        if not _neighbours(d.circle(cid), x.over[1], x.under[1]):
             raise MoveError(f"crossing {m.crossing} is not a removable kink",
                             m.crossing)
         ed.remove_events(cid, lambda e: isinstance(e, CrossingSlot)
@@ -148,15 +158,6 @@ def _apply_r1(d: Diagram, m: R1) -> Diagram:
 
 
 # -- R2 ---------------------------------------------------------------------
-
-def _face_of_darts(d: Diagram):
-    m = CombinatorialMap(d)
-    face_of = {}
-    for i, face in enumerate(m.faces()):
-        for dart in face:
-            face_of[dart] = i
-    return face_of
-
 
 def _apply_r2(d: Diagram, m: R2) -> Diagram:
     ed = DiagramEditor(d)
@@ -179,10 +180,7 @@ def _apply_r2(d: Diagram, m: R2) -> Diagram:
             if len(slots) != 2:
                 raise MoveError("bigon strands must meet both crossings once",
                                 m.crossings)
-            s1, s2 = sorted(slots)
-            n = len(c.events)
-            if not ((s2 == s1 + 1) or (c.is_surgery() and s1 == 0
-                                       and s2 == n - 1)):
+            if not _neighbours(c, *slots):
                 raise MoveError(f"bigon events are not adjacent on {cid}",
                                 m.crossings)
         ed.remove_events(a.over[0], lambda e: isinstance(e, CrossingSlot)
@@ -198,7 +196,7 @@ def _apply_r2(d: Diagram, m: R2) -> Diagram:
     d1, d2 = _as_dart(m.darts[0]), _as_dart(m.darts[1])
     if (d1.circle, d1.arc) == (d2.circle, d2.arc):
         raise MoveError("R2 darts must lie on distinct arcs", m.darts)
-    face_of = _face_of_darts(d)
+    face_of = CombinatorialMap(d).face_of
     if face_of.get(d1) != face_of.get(d2):
         raise MoveError("R2 darts do not border a common face", m.darts)
     role1 = OVER if m.over else UNDER
@@ -240,13 +238,10 @@ def _apply_r2(d: Diagram, m: R2) -> Diagram:
 def _apply_r3(d: Diagram, m: R3) -> Diagram:
     start = _as_dart(m.site)
     cmap = CombinatorialMap(d)
-    face = None
-    for f in cmap.faces():
-        if start in f:
-            face = f
-            break
-    if face is None:
+    i = cmap.face_of.get(start)
+    if i is None:
         raise MoveError(f"no face contains dart {start}", m.site)
+    face = cmap.faces()[i]
     if len(face) != 3:
         raise MoveError("R3 needs a triangular face", m.site)
     heads = []
@@ -372,27 +367,15 @@ def _apply_blow_down(d: Diagram, m: BlowDown) -> Diagram:
 
 # -- handle slide -------------------------------------------------------------
 
-def _crosses_right_to_left(d: Diagram, xid: str, of_circle: str) -> bool:
-    """Does the other strand cross ``of_circle`` from its right side to its
-    left side at this crossing?"""
-    x = d.crossing(xid)
-    role_of_c = OVER if x.over[0] == of_circle else UNDER
-    return (x.sign == 1) if role_of_c == OVER else (x.sign == -1)
-
-
 def _band_sites(d: Diagram, moving: str, over: str):
     """Candidate band sites, best first: for every shared face, a dart of
     the moving circle paired with a forward dart of the companion.  The
     push-off must be traversed codirected with the companion, which needs
     the band to approach from its left, so only forward companion darts
     qualify."""
-    face_of = _face_of_darts(d)
-    by_face = {}
-    for dart, f in sorted(face_of.items()):
-        by_face.setdefault(f, []).append(dart)
     sites = []
-    for f in sorted(by_face):
-        darts = by_face[f]
+    for face in CombinatorialMap(d).faces():
+        darts = sorted(face)
         mine = [dt for dt in darts if dt.circle == moving]
         its = [dt for dt in darts if dt.circle == over and dt.dir == 1]
         for a in mine:
@@ -415,7 +398,7 @@ def _apply_handle_slide(d: Diagram, m: HandleSlide) -> Diagram:
             "parallels are not implemented", m.over)
     if m.site is not None:
         site = (_as_dart(m.site[0]), _as_dart(m.site[1]))
-        face_of = _face_of_darts(d)
+        face_of = CombinatorialMap(d).face_of
         if face_of.get(site[0]) != face_of.get(site[1]):
             raise MoveError("band site darts do not border a common face",
                             m.site)
@@ -464,8 +447,7 @@ def _slide_at_site(d: Diagram, m: HandleSlide, site) -> Diagram:
         xid = ed.new_crossing(x.sign, prefix="p")
         p_events.append(CrossingSlot(xid, ev.role))
         other_role = UNDER if ev.role == OVER else OVER
-        rl = _crosses_right_to_left(d, ev.crossing, m.over)
-        after = rl == side_left
+        after = x.right_to_left(m.over) == side_left
         inserts_on_others.append(
             (other_cid, other_slot, after, CrossingSlot(xid, other_role)))
 
@@ -588,12 +570,8 @@ def replay(d: Diagram, script: MoveScript) -> Diagram:
 def _monogon_kinks(d: Diagram):
     out = []
     for x in d.crossings:
-        if x.over[0] != x.under[0]:
-            continue
-        c = d.circle(x.over[0])
-        s1, s2 = sorted((x.over[1], x.under[1]))
-        n = len(c.events)
-        if s2 == s1 + 1 or (c.is_surgery() and s1 == 0 and s2 == n - 1):
+        if (x.over[0] == x.under[0]
+                and _neighbours(d.circle(x.over[0]), x.over[1], x.under[1])):
             out.append(x.id)
     return sorted(out)
 

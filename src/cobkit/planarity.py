@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 from .diagram import (CenterSlot, CrossingSlot, Diagram, OVER, UNDER,
                       INCOMING, OUTGOING, SURGERY, WEDGE)
@@ -155,6 +156,17 @@ class CombinatorialMap:
         Deterministic: orbits are reported in first-dart order, where darts
         are scanned per circle, per arc, forward then backward.
         """
+        return self._faces
+
+    @cached_property
+    def face_of(self):
+        """Dart -> index of its face in :meth:`faces`, read off the same
+        trace: a map traces its faces once."""
+        return {dart: i for i, face in enumerate(self._faces)
+                for dart in face}
+
+    @cached_property
+    def _faces(self):
         seen = set()
         out = []
         for c in self.diagram.circles:

@@ -92,12 +92,45 @@ def test_big_framings_round_trip_as_strings():
 def test_move_script_round_trip():
     script = MoveScript((
         BlowUp(1), BlowDown("e1"), R1(site=("k1", 0), sign=-1),
-        R1(crossing="r1"), R2(darts=(("k1", 0, 1), ("k2", 1, -1)),
-                              over=False),
-        R2(crossings=("a", "b")), R3(site=("k1", 2, 1)),
-        HandleSlide("k1", "k2"), Twist(incoming="U", outgoing="V"),
+        R1(crossing="r1"), R1(crossing="r1", sign=-1),
+        R2(darts=(("k1", 0, 1), ("k2", 1, -1)), over=False),
+        R2(crossings=("a", "b")), R2(crossings=("a", "b"), over=False),
+        R3(site=("k1", 2, 1)), HandleSlide("k1", "k2"),
+        HandleSlide("k1", "k2", site=(("k1", 0, 1), ("k2", 1, 1))),
+        Twist(incoming="U", outgoing="V"),
     ))
     text = serialize_move_script(script)
     back = parse_move_script(text)
     assert back == script
     assert serialize_move_script(back) == text
+
+
+def test_move_script_without_default_fields_still_parses():
+    # Removal forms written without sign/over, as older scripts have them.
+    text = json.dumps({"format_version": "1", "moves": [
+        {"kind": "r1", "crossing": "r1"},
+        {"kind": "r2", "crossings": ["a", "b"]},
+        {"kind": "blow_up", "sign": -1},
+        {"kind": "handle_slide", "moving": "k1", "over": "k2"},
+    ]})
+    assert parse_move_script(text) == MoveScript((
+        R1(crossing="r1"), R2(crossings=("a", "b")), BlowUp(-1),
+        HandleSlide("k1", "k2")))
+
+
+@pytest.mark.parametrize("move", [
+    {"kind": "r1", "site": ["k1", 0], "sign": "x"},
+    {"kind": "blow_up"},
+    {"kind": "r3"},
+    {"kind": "r3", "site": "k1"},
+    {"kind": "twist", "incoming": "U"},
+    {"kind": "teleport"},
+    {"sign": 1},
+    ["r1"],
+])
+def test_bad_move_reports_its_location(move):
+    text = json.dumps({"format_version": "1",
+                       "moves": [{"kind": "blow_up", "sign": 1}, move]})
+    with pytest.raises(ParseError) as err:
+        parse_move_script(text)
+    assert err.value.location == "moves[1]"

@@ -67,6 +67,23 @@ def test_standard_position_judgments():
     assert is_standard_position(thread_circle(w, "w1c1", "s1"))
 
 
+def test_standard_position_builds_one_map(monkeypatch):
+    from cobkit import planarity
+
+    built = []
+    init = planarity.CombinatorialMap.__init__
+
+    def counting_init(self, d):
+        built.append(d)
+        init(self, d)
+
+    monkeypatch.setattr(planarity.CombinatorialMap, "__init__",
+                        counting_init)
+    d = wedge_row([("incoming", 32), ("outgoing", 32)])
+    assert is_standard_position(d)
+    assert len(built) == 1
+
+
 def test_sew_of_standard_inputs_is_standard():
     dc = thread_circle(wedge_row([("outgoing", 1)]), "w1c1", "s1")
     dd = thread_circle(wedge_row([("incoming", 1), ("outgoing", 2)]),
