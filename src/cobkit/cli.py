@@ -87,30 +87,32 @@ def _cmd_validate(args):
     return VALIDATION_ERROR
 
 
+def _wedge_row(params):
+    spec = []
+    for item in params:
+        color, genus = item.split(":")
+        full = {"in": "incoming", "incoming": "incoming",
+                "out": "outgoing", "outgoing": "outgoing"}[color]
+        spec.append((full, int(genus)))
+    return builders.wedge_row(spec)
+
+
+# Build kind -> builder of its command-line parameters.  A missing
+# parameter raises IndexError and a non-integer one ValueError, which
+# main() reports as usage errors.
+_BUILDERS = {
+    "identity": lambda p: builders.identity_diagram(int(p[0])),
+    "sigma-s1": lambda p: builders.sigma_g_s1_link(int(p[0])),
+    "unknot": lambda p: builders.unknot(int(p[0])),
+    "hopf": lambda p: builders.hopf(int(p[0]), int(p[1])),
+    "borromean": lambda p: builders.borromean(int(p[0]), int(p[1]),
+                                              int(p[2])),
+    "wedge-row": _wedge_row,
+}
+
+
 def _cmd_build(args):
-    kind = args.kind
-    params = args.params
-    if kind == "identity":
-        d = builders.identity_diagram(int(params[0]))
-    elif kind == "sigma-s1":
-        d = builders.sigma_g_s1_link(int(params[0]))
-    elif kind == "unknot":
-        d = builders.unknot(int(params[0]))
-    elif kind == "hopf":
-        d = builders.hopf(int(params[0]), int(params[1]))
-    elif kind == "borromean":
-        d = builders.borromean(int(params[0]), int(params[1]), int(params[2]))
-    elif kind == "wedge-row":
-        spec = []
-        for item in params:
-            color, genus = item.split(":")
-            full = {"in": "incoming", "incoming": "incoming",
-                    "out": "outgoing", "outgoing": "outgoing"}[color]
-            spec.append((full, int(genus)))
-        d = builders.wedge_row(spec)
-    else:
-        raise ParseError(f"unknown build kind {kind!r}")
-    return _emit_diagram(d, args)
+    return _emit_diagram(_BUILDERS[args.kind](args.params), args)
 
 
 def _cmd_tensor(args):
@@ -202,8 +204,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("build", help="construct a named diagram")
-    p.add_argument("kind", choices=["identity", "sigma-s1", "unknot", "hopf",
-                                    "borromean", "wedge-row"])
+    p.add_argument("kind", choices=list(_BUILDERS))
     p.add_argument("params", nargs="*")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(fn=_cmd_build)

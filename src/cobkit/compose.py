@@ -37,10 +37,10 @@ from dataclasses import dataclass, replace
 from .diagram import (CenterSlot, CrossingSlot, Diagram, INCOMING, OUTGOING,
                       OVER, UNDER, crossings_between, relabel)
 from .editing import DiagramEditor, borromean_motif_events
-from .errors import (CompositionError, GenusMismatchError,
+from .errors import (CompositionError, GenusMismatchError, MoveError,
                      NotStandardPositionError)
 from .membranes import membrane_excursions
-from .moves import install_identity_link
+from .moves import Twist, apply
 from .planarity import validate
 
 
@@ -100,9 +100,6 @@ class HandlebodyPattern:
     bands: tuple            # per band, a tuple of BandEvent in membrane order
     target_label: int
 
-    def band_events(self, i):
-        return self.bands[i - 1]
-
 
 def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
     """Turn ``d`` into a pattern within a handlebody by deleting the
@@ -144,10 +141,9 @@ def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
                       if s not in dead
                       and not isinstance(strand_events[s], CenterSlot))
             if e.is_piercing:
-                under = e.enter if e.enter_flag == UNDER else e.leave
                 events.append(BandEvent(
                     kind="traverse", strand=e.strand,
-                    direction=d.crossing(under).sign,
+                    direction=d.crossing(e.anchor).sign,
                     gap=gap, seq=e.enter_slot))
             else:
                 events.append(BandEvent(
@@ -156,9 +152,7 @@ def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
                     enter_sign=d.crossing(e.enter).sign))
         bands.append(tuple(events))
 
-    ed = DiagramEditor(d)
-    ed.remove_wedge(u)
-    interior = ed.freeze()
+    interior = delete_wedge(d, u)
 
     # Wedge circles keep their center slots, which do not count as gap
     # positions above; rebase gaps onto the surviving event lists.
@@ -314,18 +308,10 @@ def make_identity_link(d: Diagram, u: str, v: str) -> Diagram:
         raise CompositionError(f"{v} is not an incoming wedge")
     if wu.genus != wv.genus:
         raise GenusMismatchError("wedges must have equal genus")
-    ed = DiagramEditor(d)
-    from .errors import MoveError
     try:
-        install_identity_link(ed, incoming=v, outgoing=u)
+        return apply(d, Twist(incoming=v, outgoing=u))
     except MoveError as exc:
         raise CompositionError(str(exc)) from exc
-    out = ed.freeze()
-    rep = validate(out)
-    if not rep.ok:
-        raise CompositionError(
-            f"wedges {u} and {v} are not adjacent ({rep.codes()})")
-    return out
 
 
 def _find_clasp(d: Diagram, a: str, b: str):
@@ -412,19 +398,20 @@ def mend(d: Diagram, u: str, v: str, swap_roles: bool = False) -> Diagram:
 
     bid = ed.fresh_id("mb")
     ed.add_surgery_circle(bid, 0)
+    # Each pair circle carries exactly one clasp: excise them all in one
+    # sweep, then put motif i where clasp i was.
+    clasp_at = [[(cid, next(k for k, e in enumerate(ed.events[cid])
+                            if isinstance(e, CrossingSlot)
+                            and e.crossing in (c1, c2)))
+                 for cid in (x_sources[i], y_sources[i])]
+                for i, (c1, c2, _, _) in enumerate(clasps)]
+    ed.remove_crossings(*(x for c1, c2, _, _ in clasps for x in (c1, c2)))
     b_events = []
     for i in range(g):
-        c1, c2, _, _ = clasps[i]
         ev_a, ev_b, ev_c = borromean_motif_events(ed, prefix=f"m{i + 1}s")
         b_events.extend(ev_a)
-        for cid, motif in ((x_sources[i], ev_b), (y_sources[i], ev_c)):
-            evs = ed.events[cid]
-            at = next(k for k, e in enumerate(evs)
-                      if isinstance(e, CrossingSlot)
-                      and e.crossing in (c1, c2))
-            ed.events[cid] = evs[:at] + motif + evs[at + 2:]
-        del ed.signs[c1]
-        del ed.signs[c2]
+        for (cid, at), motif in zip(clasp_at[i], (ev_b, ev_c)):
+            ed.insert_events(cid, at, motif)
     ed.events[bid] = b_events
 
     out = ed.freeze()

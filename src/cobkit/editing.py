@@ -4,163 +4,175 @@ Public diagram values are immutable; rewrites copy a diagram into an
 editor, splice event lists freely, and freeze back.  Event lists are the
 source of truth: crossing (circle, slot) references are recomputed at
 freeze time, so edits never have to maintain slot indices by hand.
+
+The editor keeps one record per id (a :class:`Circle` header, read for
+its kind, framing, wedge and index only, since its events live in
+``events``; a :class:`Wedge`; a crossing sign) and is the only writer of
+those tables.  ``fresh_id(prefix)`` is ``prefix`` followed
+by 1 + the largest n for which ``prefix`` + n, read like the pattern
+``prefix(\\d+)$``, is a live circle, crossing or wedge id.  That n is kept
+per prefix: one scan finds it the first time the prefix is asked for,
+every id registered after raises it, and removing the id that holds it
+drops it until the next scan.
 """
 
 from __future__ import annotations
 
-import re
+from dataclasses import replace
+from itertools import chain
 
 from .diagram import (CenterSlot, Circle, Crossing, CrossingSlot, Diagram,
-                      OVER, UNDER, SURGERY, WEDGE, Wedge)
+                      INCOMING, OVER, UNDER, SURGERY, WEDGE, Wedge)
 from .errors import MalformedDiagramError
+
+
+def _readings(i):
+    """Every way to read id ``i`` as a prefix followed by a decimal
+    number, as ``(prefix, digits)`` pairs.  Like the pattern
+    ``prefix(\\d+)$``, this skips one final newline."""
+    body = i[:-1] if i.endswith("\n") else i
+    k = len(body)
+    while k and body[k - 1].isdecimal():
+        k -= 1
+    return [(body[:j], body[j:]) for j in range(k, len(body))]
 
 
 class DiagramEditor:
     def __init__(self, d: Diagram | None = None):
         self.events = {}      # circle id -> list of event objects
-        self.kind = {}        # circle id -> SURGERY | WEDGE
-        self.framing = {}
-        self.wedge_of = {}    # wedge circle id -> (wedge id, index)
-        self.circle_order = []
-        self.wedges = {}      # wedge id -> (color, [circle ids])
-        self.wedge_order = []
+        self.circles = {}     # circle id -> Circle header
+        self.wedges = {}      # wedge id -> Wedge
         self.signs = {}       # crossing id -> sign
         self.source_order = []
         self.target_order = []
+        self._top = {}        # prefix -> its high-water mark (see fresh_id)
         if d is not None:
             self.load(d)
 
     def copy(self) -> "DiagramEditor":
         twin = DiagramEditor()
         twin.events = {k: list(v) for k, v in self.events.items()}
-        twin.kind = dict(self.kind)
-        twin.framing = dict(self.framing)
-        twin.wedge_of = dict(self.wedge_of)
-        twin.circle_order = list(self.circle_order)
-        twin.wedges = {k: (c, list(v)) for k, (c, v) in self.wedges.items()}
-        twin.wedge_order = list(self.wedge_order)
+        twin.circles = dict(self.circles)
+        twin.wedges = dict(self.wedges)
         twin.signs = dict(self.signs)
         twin.source_order = list(self.source_order)
         twin.target_order = list(self.target_order)
+        twin._top = dict(self._top)
         return twin
 
     def load(self, d: Diagram):
         """Merge ``d`` after what the editor already holds; its ids must
         not clash with the ones already loaded."""
         for c in d.circles:
-            self.circle_order.append(c.id)
-            self.events[c.id] = list(c.events)
-            self.kind[c.id] = c.kind
-            if c.is_surgery():
-                self.framing[c.id] = c.framing
-            else:
-                self.wedge_of[c.id] = (c.wedge, c.index)
+            self._add_circle(c.id, c, c.events)
         for w in d.wedges:
-            self.wedges[w.id] = (w.color, list(w.circle_ids))
-            self.wedge_order.append(w.id)
+            self._take(self.wedges, w.id, w)
         for x in d.crossings:
-            self.signs[x.id] = x.sign
+            self._take(self.signs, x.id, x.sign)
         self.source_order.extend(d.source_order)
         self.target_order.extend(d.target_order)
 
     # -- id management ---------------------------------------------------
 
     def fresh_id(self, prefix):
-        taken = set(self.circle_order) | set(self.signs) | set(self.wedges)
-        pattern = re.compile(re.escape(prefix) + r"(\d+)$")
-        top = 0
-        for i in taken:
-            m = pattern.match(i)
-            if m:
-                top = max(top, int(m.group(1)))
+        top = self._top.get(prefix)
+        if top is None:
+            top = self._top[prefix] = max(
+                (int(digits)
+                 for i in chain(self.circles, self.signs, self.wedges)
+                 if i.startswith(prefix)
+                 for p, digits in _readings(i) if p == prefix),
+                default=0)
         return f"{prefix}{top + 1}"
+
+    def _take(self, table, i, value):
+        """The one registration path: store a new id and raise the marks
+        of the prefixes it reads as."""
+        if i in table:
+            raise MalformedDiagramError(f"id {i} already used")
+        table[i] = value
+        if self._top:
+            for p, digits in _readings(i):
+                if p in self._top and int(digits) > self._top[p]:
+                    self._top[p] = int(digits)
+
+    def _drop(self, table, i):
+        """The one removal path: forget an id, and the marks it held."""
+        value = table.pop(i)
+        if self._top:
+            for p, digits in _readings(i):
+                if self._top.get(p) == int(digits):
+                    del self._top[p]
+        return value
 
     # -- circle / wedge management ----------------------------------------
 
-    def add_surgery_circle(self, cid, framing, events=()):
-        if cid in self.events:
-            raise MalformedDiagramError(f"circle id {cid} already used")
-        self.circle_order.append(cid)
+    def _add_circle(self, cid, header, events):
+        self._take(self.circles, cid, header)
         self.events[cid] = list(events)
-        self.kind[cid] = SURGERY
-        self.framing[cid] = framing
+
+    def _boundary(self, color):
+        return self.source_order if color == INCOMING else self.target_order
+
+    def add_surgery_circle(self, cid, framing, events=()):
+        self._add_circle(cid, Circle(cid, SURGERY, framing=framing), events)
         return cid
 
     def add_wedge(self, wid, color, circle_ids):
-        self.wedges[wid] = (color, list(circle_ids))
-        self.wedge_order.append(wid)
+        self._take(self.wedges, wid, Wedge(wid, color, tuple(circle_ids)))
         for i, cid in enumerate(circle_ids, start=1):
-            self.circle_order.append(cid)
-            self.events[cid] = [CenterSlot("depart"), CenterSlot("return")]
-            self.kind[cid] = WEDGE
-            self.wedge_of[cid] = (wid, i)
-        (self.source_order if color == "incoming"
-         else self.target_order).append(wid)
+            self._add_circle(cid, Circle(cid, WEDGE, wedge=wid, index=i),
+                             [CenterSlot("depart"), CenterSlot("return")])
+        self._boundary(color).append(wid)
         return wid
 
-    def remove_circle(self, cid, drop_crossings=True):
-        """Delete a circle; crossings it participated in are removed from
-        every other event list (their strands reconnect straight)."""
-        dead = {e.crossing for e in self.events[cid]
-                if isinstance(e, CrossingSlot)}
-        del self.events[cid]
-        self.circle_order.remove(cid)
-        self.kind.pop(cid)
-        self.framing.pop(cid, None)
-        self.wedge_of.pop(cid, None)
-        if drop_crossings:
-            for xid in dead:
-                self.signs.pop(xid, None)
-            for other, evs in self.events.items():
-                self.events[other] = [
-                    e for e in evs
-                    if not (isinstance(e, CrossingSlot) and e.crossing in dead)]
+    def set_framing(self, cid, framing):
+        self.circles[cid] = replace(self.circles[cid], framing=framing)
 
-    def remove_wedge(self, wid, drop_crossings=True):
-        color, cids = self.wedges.pop(wid)
-        self.wedge_order.remove(wid)
+    def remove_circle(self, *cids):
+        """Delete circles and every crossing they take part in; the other
+        strands through those crossings reconnect straight."""
+        dead = set()
         for cid in cids:
-            self.remove_circle(cid, drop_crossings=drop_crossings)
-        order = self.source_order if color == "incoming" else self.target_order
-        order.remove(wid)
+            dead.update(e.crossing for e in self.events.pop(cid)
+                        if isinstance(e, CrossingSlot))
+            self._drop(self.circles, cid)
+        self.remove_crossings(*dead)
+
+    def remove_crossings(self, *xids):
+        """Delete crossings: both events of each, and its sign."""
+        dead = set(xids)
+        for xid in dead & self.signs.keys():
+            self._drop(self.signs, xid)
+        for cid, evs in self.events.items():
+            self.events[cid] = [e for e in evs if not (
+                isinstance(e, CrossingSlot) and e.crossing in dead)]
+
+    def remove_wedge(self, wid):
+        """Delete a wedge with its circles and their crossings."""
+        w = self._drop(self.wedges, wid)
+        self.remove_circle(*w.circle_ids)
+        self._boundary(w.color).remove(wid)
 
     def surgerize(self, cid, framing):
         """Turn a wedge circle into a 0-events-at-center surgery circle."""
         self.events[cid] = [e for e in self.events[cid]
                             if isinstance(e, CrossingSlot)]
-        self.kind[cid] = SURGERY
-        self.framing[cid] = framing
-        self.wedge_of.pop(cid, None)
+        self.circles[cid] = Circle(cid, SURGERY, framing=framing)
 
     def drop_wedge_keep_circles(self, wid, framing=0):
         """Delete a wedge center, converting its circles to surgery data."""
-        color, cids = self.wedges.pop(wid)
-        self.wedge_order.remove(wid)
-        for cid in cids:
+        w = self._drop(self.wedges, wid)
+        for cid in w.circle_ids:
             self.surgerize(cid, framing)
-        order = self.source_order if color == "incoming" else self.target_order
-        order.remove(wid)
-        return cids
+        self._boundary(w.color).remove(wid)
 
     # -- event surgery -----------------------------------------------------
 
     def new_crossing(self, sign, prefix="x"):
         xid = self.fresh_id(prefix)
-        self.signs[xid] = sign
+        self._take(self.signs, xid, sign)
         return xid
-
-    def slot_of(self, cid, xid, role):
-        for i, e in enumerate(self.events[cid]):
-            if isinstance(e, CrossingSlot) and e.crossing == xid and e.role == role:
-                return i
-        raise MalformedDiagramError(f"no ({xid}, {role}) event on {cid}")
-
-    def remove_events(self, cid, pred):
-        """Drop events matching ``pred``; returns how many were dropped."""
-        old = self.events[cid]
-        kept = [e for e in old if not pred(e)]
-        self.events[cid] = kept
-        return len(old) - len(kept)
 
     def insert_events(self, cid, at, new_events):
         self.events[cid][at:at] = list(new_events)
@@ -171,26 +183,21 @@ class DiagramEditor:
     # -- freezing ----------------------------------------------------------
 
     def freeze(self) -> Diagram:
-        circles = []
-        for cid in self.circle_order:
-            if self.kind[cid] == SURGERY:
-                circles.append(Circle(id=cid, kind=SURGERY,
-                                      events=tuple(self.events[cid]),
-                                      framing=self.framing[cid]))
-            else:
-                wid, idx = self.wedge_of[cid]
-                circles.append(Circle(id=cid, kind=WEDGE,
-                                      events=tuple(self.events[cid]),
-                                      wedge=wid, index=idx))
+        circles = tuple(
+            Circle(cid, SURGERY, tuple(self.events[cid]), h.framing)
+            if h.is_surgery() else
+            Circle(cid, WEDGE, tuple(self.events[cid]), wedge=h.wedge,
+                   index=h.index)
+            for cid, h in self.circles.items())
         refs = {}
-        for cid in self.circle_order:
-            for slot, e in enumerate(self.events[cid]):
+        for c in circles:
+            for slot, e in enumerate(c.events):
                 if isinstance(e, CrossingSlot):
                     key = (e.crossing, e.role)
                     if key in refs:
                         raise MalformedDiagramError(
                             f"crossing {e.crossing} has two {e.role} events")
-                    refs[key] = (cid, slot)
+                    refs[key] = (c.id, slot)
         crossings = []
         for xid in sorted(self.signs):
             try:
@@ -200,10 +207,8 @@ class DiagramEditor:
                     f"crossing {xid} is missing an over or under event")
             crossings.append(Crossing(id=xid, over=over, under=under,
                                       sign=self.signs[xid]))
-        wedges = tuple(Wedge(id=wid, color=self.wedges[wid][0],
-                             circle_ids=tuple(self.wedges[wid][1]))
-                       for wid in self.wedge_order)
-        return Diagram(tuple(circles), tuple(crossings), wedges,
+        return Diagram(circles, tuple(crossings),
+                       tuple(self.wedges.values()),
                        tuple(self.source_order), tuple(self.target_order))
 
 

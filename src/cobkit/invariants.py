@@ -64,9 +64,6 @@ class IntMatrix:
             out.append(tuple(acc))
         return IntMatrix(tuple(out))
 
-    def transpose(self):
-        return IntMatrix(tuple(zip(*self.entries))) if self.entries else self
-
     def diagonal(self):
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
@@ -196,10 +193,6 @@ class AbelianGroup:
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
-
-    @classmethod
-    def free(cls, rank):
-        return cls(rank=rank)
 
 
 def cokernel(relations: IntMatrix, generators: int) -> AbelianGroup:

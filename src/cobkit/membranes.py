@@ -61,6 +61,15 @@ class Excursion:
     def is_piercing(self):
         return self.enter_flag != self.leave_flag
 
+    @property
+    def anchor(self):
+        """The crossing that places the excursion along the circle: for a
+        piercing, the one where the strand dives under the circle (its
+        sign is the piercing's sign); otherwise the entering crossing."""
+        if self.is_piercing:
+            return self.enter if self.enter_flag == UNDER else self.leave
+        return self.enter
+
     def kind(self):
         if self.is_piercing:
             return "traverse"
@@ -137,11 +146,8 @@ def membrane_position(d: Diagram, membrane_circle: str, xid: str) -> int:
 
 def circle_excursions(d: Diagram, cid: str):
     """All excursions of all other circles into the left region of the
-    simple closed circle ``cid``, ordered along it by anchor crossing.
-
-    The anchor of a piercing is its under crossing (where the strand
-    dives below the membrane circle); equal-flag excursions anchor at
-    their entering crossing.  Works for surgery circles too (blow-downs
+    simple closed circle ``cid``, ordered along it by
+    :attr:`Excursion.anchor`.  Works for surgery circles too (blow-downs
     need it); membrane semantics for wedge circles are the same.
     """
     if not is_simple(d, cid):
@@ -153,11 +159,7 @@ def circle_excursions(d: Diagram, cid: str):
     anchored = []
     for sid in strands:
         for exc in excursions_into(d, sid, cid):
-            if exc.is_piercing:
-                anchor = exc.enter if exc.enter_flag == UNDER else exc.leave
-            else:
-                anchor = exc.enter
-            anchored.append((membrane_position(d, cid, anchor), exc))
+            anchored.append((membrane_position(d, cid, exc.anchor), exc))
     anchored.sort(key=lambda t: t[0])
     return anchored
 
@@ -180,10 +182,9 @@ def piercings(d: Diagram, cid: str):
     for pos, exc in membrane_excursions(d, cid):
         if not exc.is_piercing:
             continue
-        under = exc.enter if exc.enter_flag == UNDER else exc.leave
-        sign = d.crossing(under).sign
         out.append(Piercing(strand=exc.strand, wedge_circle=cid,
-                            sign=sign, order_key=pos))
+                            sign=d.crossing(exc.anchor).sign,
+                            order_key=pos))
     return out
 
 

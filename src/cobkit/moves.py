@@ -40,7 +40,7 @@ from .diagram import (CrossingSlot, Diagram, OVER, UNDER, crossings_between,
 from .editing import DiagramEditor, clasp_events
 from .errors import MoveError, NotStandardPositionError
 from .membranes import circle_excursions
-from .planarity import (CombinatorialMap, Dart, arc_endpoints,
+from .planarity import (CombinatorialMap, Dart, arc_endpoints, circle_arcs,
                         validate)
 
 
@@ -109,8 +109,24 @@ class MoveScript:
         return len(self.moves)
 
 
-def _as_dart(site) -> Dart:
-    return Dart(site[0], site[1], site[2] if len(site) > 2 else 1)
+def _as_dart(d: Diagram, site) -> Dart:
+    """Read a site ``(circle, arc[, dir])`` as a dart of ``d`` (``dir``
+    defaults to 1).  Raises :class:`MoveError` unless the circle exists,
+    the arc is one of its arcs and ``dir`` is 1 or -1."""
+    if isinstance(site, (tuple, list)) and len(site) in (2, 3):
+        cid, arc = site[0], site[1]
+        dr = site[2] if len(site) == 3 else 1
+        c = d.circle_by_id.get(cid) if isinstance(cid, str) else None
+        if (c is not None and type(arc) is int
+                and 0 <= arc < circle_arcs(c) and dr in (1, -1)):
+            return Dart(cid, arc, dr)
+    raise MoveError(f"site {site!r} is not a dart of the diagram", site)
+
+
+def _pair(value, what):
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise MoveError(f"{what} must be a pair", value)
+    return value
 
 
 def _check(d: Diagram, context: str) -> Diagram:
@@ -142,13 +158,11 @@ def _apply_r1(d: Diagram, m: R1) -> Diagram:
         if not _neighbours(d.circle(cid), x.over[1], x.under[1]):
             raise MoveError(f"crossing {m.crossing} is not a removable kink",
                             m.crossing)
-        ed.remove_events(cid, lambda e: isinstance(e, CrossingSlot)
-                         and e.crossing == m.crossing)
-        del ed.signs[m.crossing]
+        ed.remove_crossings(m.crossing)
         return _check(ed.freeze(), "R1 remove")
     if m.site is None:
         raise MoveError("R1 needs a site or a crossing")
-    cid, arc = m.site[0], m.site[1]
+    cid, arc, _ = _as_dart(d, m.site)
     c = d.circle(cid)
     k = ed.new_crossing(m.sign, prefix="r")
     first, second = (UNDER, OVER) if m.sign == 1 else (OVER, UNDER)
@@ -162,7 +176,7 @@ def _apply_r1(d: Diagram, m: R1) -> Diagram:
 def _apply_r2(d: Diagram, m: R2) -> Diagram:
     ed = DiagramEditor(d)
     if m.crossings is not None:
-        x1, x2 = m.crossings
+        x1, x2 = _pair(m.crossings, "R2 crossings")
         a = d.crossing(x1)
         b = d.crossing(x2)
         if {a.over[0], a.under[0]} != {b.over[0], b.under[0]}:
@@ -183,17 +197,12 @@ def _apply_r2(d: Diagram, m: R2) -> Diagram:
             if not _neighbours(c, *slots):
                 raise MoveError(f"bigon events are not adjacent on {cid}",
                                 m.crossings)
-        ed.remove_events(a.over[0], lambda e: isinstance(e, CrossingSlot)
-                         and e.crossing in (x1, x2))
-        ed.remove_events(a.under[0], lambda e: isinstance(e, CrossingSlot)
-                         and e.crossing in (x1, x2))
-        del ed.signs[x1]
-        del ed.signs[x2]
+        ed.remove_crossings(x1, x2)
         return _check(ed.freeze(), "R2 remove")
 
     if m.darts is None:
         raise MoveError("R2 needs darts or crossings")
-    d1, d2 = _as_dart(m.darts[0]), _as_dart(m.darts[1])
+    d1, d2 = (_as_dart(d, s) for s in _pair(m.darts, "R2 darts"))
     if (d1.circle, d1.arc) == (d2.circle, d2.arc):
         raise MoveError("R2 darts must lie on distinct arcs", m.darts)
     face_of = CombinatorialMap(d).face_of
@@ -236,7 +245,7 @@ def _apply_r2(d: Diagram, m: R2) -> Diagram:
 # -- R3 ---------------------------------------------------------------------
 
 def _apply_r3(d: Diagram, m: R3) -> Diagram:
-    start = _as_dart(m.site)
+    start = _as_dart(d, m.site)
     cmap = CombinatorialMap(d)
     i = cmap.face_of.get(start)
     if i is None:
@@ -291,8 +300,8 @@ def _blowdown_passes(d: Diagram, cid: str):
             raise MoveError(
                 f"a strand segment inside {cid} is not bare: the bundle "
                 "through a blow-down circle must be parallel", cid)
-        under = exc.enter if exc.enter_flag == UNDER else exc.leave
-        passes.append((exc.strand, exc.enter_slot, d.crossing(under).sign))
+        passes.append((exc.strand, exc.enter_slot,
+                       d.crossing(exc.anchor).sign))
     return passes
 
 
@@ -360,8 +369,9 @@ def _apply_blow_down(d: Diagram, m: BlowDown) -> Diagram:
     for strand, _, p in marks:
         lk_c[strand] = lk_c.get(strand, 0) + p
     for strand, lk in lk_c.items():
-        if ed.kind[strand] == "surgery":
-            ed.framing[strand] -= eps * lk * lk
+        h = ed.circles[strand]
+        if h.is_surgery():
+            ed.set_framing(strand, h.framing - eps * lk * lk)
     return _check(ed.freeze(), "BlowDown")
 
 
@@ -397,7 +407,7 @@ def _apply_handle_slide(d: Diagram, m: HandleSlide) -> Diagram:
             f"companion {m.over} has self-crossings; slides over knotted "
             "parallels are not implemented", m.over)
     if m.site is not None:
-        site = (_as_dart(m.site[0]), _as_dart(m.site[1]))
+        site = tuple(_as_dart(d, s) for s in _pair(m.site, "band site"))
         face_of = CombinatorialMap(d).face_of
         if face_of.get(site[0]) != face_of.get(site[1]):
             raise MoveError("band site darts do not border a common face",
@@ -428,7 +438,7 @@ def _slide_at_site(d: Diagram, m: HandleSlide, site) -> Diagram:
     dart_i, dart_j = site
     ci = d.circle(m.moving)
     cj = d.circle(m.over)
-    f_i, f_j = ci.framing, cj.framing
+    f_j = cj.framing
     lk_ij = linking_number(d, m.moving, m.over)
 
     ed = DiagramEditor(d)
@@ -470,7 +480,7 @@ def _slide_at_site(d: Diagram, m: HandleSlide, site) -> Diagram:
     if twists:
         ed.insert_events(m.over, dart_j.arc + 1 if nj else 0, twists)
 
-    ed.framing[m.moving] = f_i + f_j + 2 * lk_ij
+    ed.set_framing(m.moving, ci.framing + f_j + 2 * lk_ij)
 
     # The band anchor must land on a stretch of the banded arc that faces
     # the push-off's left side; copies inserted into the arc may have
@@ -499,31 +509,25 @@ def _slide_at_site(d: Diagram, m: HandleSlide, site) -> Diagram:
 
 # -- twist -------------------------------------------------------------------
 
-def install_identity_link(ed: DiagramEditor, incoming: str, outgoing: str):
+def _apply_twist(d: Diagram, m: Twist) -> Diagram:
     """Clasp the circles of a clean incoming/outgoing wedge pair into the
     identity-link configuration (index-wise linking +1)."""
-    _, in_circles = ed.wedges[incoming]
-    _, out_circles = ed.wedges[outgoing]
-    if len(in_circles) != len(out_circles):
-        raise MoveError("twist needs wedges of equal genus")
-    for cid in in_circles + out_circles:
-        if any(isinstance(e, CrossingSlot) for e in ed.events[cid]):
-            raise MoveError(
-                f"wedge circle {cid} is not clean; remove its crossings "
-                "with a move script first", cid)
-    for a, b in zip(in_circles, out_circles):
-        clasp_events(ed, a, 1, b, 1, prefix="tw")
-
-
-def _apply_twist(d: Diagram, m: Twist) -> Diagram:
     win = d.wedge_by_id.get(m.incoming)
     wout = d.wedge_by_id.get(m.outgoing)
     if win is None or win.color != "incoming":
         raise MoveError(f"{m.incoming} is not an incoming wedge", m.incoming)
     if wout is None or wout.color != "outgoing":
         raise MoveError(f"{m.outgoing} is not an outgoing wedge", m.outgoing)
+    if win.genus != wout.genus:
+        raise MoveError("twist needs wedges of equal genus")
+    for cid in win.circle_ids + wout.circle_ids:
+        if any(isinstance(e, CrossingSlot) for e in d.circle(cid).events):
+            raise MoveError(
+                f"wedge circle {cid} is not clean; remove its crossings "
+                "with a move script first", cid)
     ed = DiagramEditor(d)
-    install_identity_link(ed, m.incoming, m.outgoing)
+    for a, b in zip(win.circle_ids, wout.circle_ids):
+        clasp_events(ed, a, 1, b, 1, prefix="tw")
     out = ed.freeze()
     rep = validate(out)
     if not rep.ok:

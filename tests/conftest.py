@@ -4,6 +4,7 @@ random diagram generator used by the property tests."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -75,6 +76,20 @@ def det(m):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1] if n else 1
+
+
+def fresh_id_oracle(ed, prefix):
+    """The id ``ed.fresh_id(prefix)`` must return, by a regex scan of every
+    live circle, crossing and wedge id: ``prefix`` followed by one more
+    than the largest number that follows ``prefix`` in one of them."""
+    taken = set(ed.circles) | set(ed.signs) | set(ed.wedges)
+    pattern = re.compile(re.escape(prefix) + r"(\d+)$")
+    top = 0
+    for i in taken:
+        m = pattern.match(i)
+        if m:
+            top = max(top, int(m.group(1)))
+    return f"{prefix}{top + 1}"
 
 
 def random_diagram(rng: random.Random):

@@ -2,7 +2,9 @@
 
 import json
 
-from cobkit import parse, serialize, unknot, borromean
+import pytest
+
+from cobkit import builders, parse, serialize, unknot, borromean
 from cobkit.cli import main
 
 
@@ -136,3 +138,18 @@ def test_moves_apply_and_search(capsys, tmp_path, monkeypatch):
                        "--budget", "25")
     assert code == 1
     assert "not-found" in out
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["identity", "2"], lambda: builders.identity_diagram(2)),
+    (["sigma-s1", "1"], lambda: builders.sigma_g_s1_link(1)),
+    (["unknot", "-3"], lambda: builders.unknot(-3)),
+    (["hopf", "1", "-2"], lambda: builders.hopf(1, -2)),
+    (["borromean", "0", "1", "-1"], lambda: builders.borromean(0, 1, -1)),
+    (["wedge-row", "in:2", "outgoing:1"],
+     lambda: builders.wedge_row([("incoming", 2), ("outgoing", 1)])),
+], ids=lambda v: None if callable(v) else " ".join(v))
+def test_build_kind_prints_its_builder(capsys, argv, built):
+    code, out, _ = run(capsys, "build", *argv)
+    assert code == 0
+    assert out == serialize(built())

@@ -255,3 +255,18 @@ def test_r2_site_sweep_exhaustive():
                         assert linking_number(out, a.circle, b.circle) == \
                             linking_number(d, a.circle, b.circle)
     assert pushed > 100 and blocked > 0
+
+
+@pytest.mark.parametrize("build, move", [
+    (trefoil, R3(site=("k1",))),
+    (trefoil, R2(darts=(("k1",), ("k1", 1)))),
+    (trefoil, R2(crossings=("x1",))),
+    (trefoil, R1(site=("k1",))),
+    (trefoil, R1(site=("k1", "a"))),
+    (trefoil, R1(site=("k1", 99))),
+    (trefoil, R1(site=("nope", 0))),
+    (lambda: hopf(0, 0), HandleSlide("k1", "k2", site=(("k1",), ("k2", 0)))),
+], ids=lambda v: None if callable(v) else repr(v))
+def test_malformed_site_raises_move_error(build, move):
+    with pytest.raises(MoveError):
+        apply(build(), move)
