@@ -165,16 +165,8 @@ def thread_circle(d: Diagram, wedge_circle: str, circle_id: str,
     ed = DiagramEditor(d)
     ed.add_surgery_circle(circle_id, framing)
     at = len(ed.events[wedge_circle]) - 1   # just before the return slot
-    if sign == 1:
-        clasp_events(ed, circle_id, 0, wedge_circle, at,
-                     prefix=f"{circle_id}x")
-    else:
-        c1 = ed.new_crossing(-1, prefix=f"{circle_id}x")
-        c2 = ed.new_crossing(-1, prefix=f"{circle_id}x")
-        ed.insert_events(circle_id, 0, [CrossingSlot(c1, UNDER),
-                                        CrossingSlot(c2, OVER)])
-        ed.insert_events(wedge_circle, at, [CrossingSlot(c2, UNDER),
-                                            CrossingSlot(c1, OVER)])
+    clasp_events(ed, circle_id, 0, wedge_circle, at, prefix=f"{circle_id}x",
+                 sign=1 if sign == 1 else -1)
     return ed.freeze()
 
 

@@ -34,10 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .diagram import (CenterSlot, CrossingSlot, Diagram, INCOMING, OUTGOING,
-                      OVER, UNDER, crossings_between, relabel)
-from .editing import DiagramEditor, borromean_motif_events
-from .errors import (CompositionError, GenusMismatchError, MoveError,
+from .diagram import (CrossingSlot, Diagram, INCOMING, OUTGOING, OVER, UNDER,
+                      crossings_along, crossings_between, relabel)
+from .editing import (DiagramEditor, borromean_motif_events,
+                      slot_after_removal)
+from .errors import (CompositionError, GenusMismatchError,
+                     MalformedDiagramError, MoveError,
                      NotStandardPositionError)
 from .membranes import membrane_excursions
 from .moves import Twist, apply
@@ -101,6 +103,14 @@ class HandlebodyPattern:
     target_label: int
 
 
+def _wedge(d: Diagram, wid: str, color: str):
+    """The wedge ``wid`` of ``d``, which must have the given color."""
+    w = d.wedge_by_id.get(wid)
+    if w is None or w.color != color:
+        raise CompositionError(f"{wid} is not an {color} wedge")
+    return w
+
+
 def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
     """Turn ``d`` into a pattern within a handlebody by deleting the
     outgoing wedge ``u`` and recording its membrane traffic.
@@ -109,74 +119,33 @@ def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
     (no events strictly inside it); decompose tangled passes with moves
     first.
     """
-    w = d.wedge_by_id.get(u)
-    if w is None or w.color != OUTGOING:
-        raise CompositionError(f"{u} is not an outgoing wedge")
-
-    # Collect excursions per band before any surgery on the data.
-    removed = {}      # strand id -> set of removed event slots
-    raw_bands = []    # per band: [(pos, excursion)]
+    w = _wedge(d, u, OUTGOING)
+    # Deleting the wedge removes every crossing on its circles; a band
+    # event's gap is where its enter slot lands once they are gone.
+    dead = {e.crossing for cid in w.circle_ids
+            for _, e in d.circle(cid).crossing_events()}
+    bands = []
     for cid in w.circle_ids:
-        excs = membrane_excursions(d, cid)
-        for pos, e in excs:
+        events = []
+        for _, e in membrane_excursions(d, cid):
             if e.interior:
                 raise NotStandardPositionError(
                     f"excursion of {e.strand} into {cid} is not bare; "
                     "pull foreign events out of the membrane first")
-            removed.setdefault(e.strand, set()).update(
-                {e.enter_slot, e.leave_slot})
-        raw_bands.append(excs)
-
-    wedge_crossings = _crossings_of_wedge(d, w)
-    bands = []
-    for excs in raw_bands:
-        events = []
-        for pos, e in excs:
-            strand_events = d.circle(e.strand).events
-            dead = removed[e.strand] | {
-                s for s, ev in enumerate(strand_events)
-                if isinstance(ev, CrossingSlot)
-                and ev.crossing in wedge_crossings}
-            gap = sum(1 for s in range(e.enter_slot)
-                      if s not in dead
-                      and not isinstance(strand_events[s], CenterSlot))
-            if e.is_piercing:
-                events.append(BandEvent(
-                    kind="traverse", strand=e.strand,
-                    direction=d.crossing(e.anchor).sign,
-                    gap=gap, seq=e.enter_slot))
-            else:
-                events.append(BandEvent(
-                    kind="over" if e.enter_flag == OVER else "under",
-                    strand=e.strand, gap=gap, seq=e.enter_slot,
-                    enter_sign=d.crossing(e.enter).sign))
+            if e.strand in w.circle_ids:
+                raise MalformedDiagramError(
+                    f"circles {cid} and {e.strand} of wedge {u} cross")
+            events.append(BandEvent(
+                kind=e.kind(), strand=e.strand,
+                direction=d.crossing(e.anchor).sign if e.is_piercing else 0,
+                gap=slot_after_removal(d.circle(e.strand).events,
+                                       e.enter_slot, dead),
+                seq=e.enter_slot,
+                enter_sign=0 if e.is_piercing else d.crossing(e.enter).sign))
         bands.append(tuple(events))
-
-    interior = delete_wedge(d, u)
-
-    # Wedge circles keep their center slots, which do not count as gap
-    # positions above; rebase gaps onto the surviving event lists.
-    rebased = []
-    for band in bands:
-        out = []
-        for e in band:
-            evs = interior.circle(e.strand).events
-            offset = 1 if (evs and isinstance(evs[0], CenterSlot)) else 0
-            out.append(replace(e, gap=e.gap + offset))
-        rebased.append(tuple(out))
-
     return HandlebodyPattern(
-        genus=w.genus, interior=interior, bands=tuple(rebased),
+        genus=w.genus, interior=delete_wedge(d, u), bands=tuple(bands),
         target_label=list(d.target_order).index(u))
-
-
-def _crossings_of_wedge(d: Diagram, w):
-    dead = set()
-    for cid in w.circle_ids:
-        for e in d.circle(cid).events:
-            if isinstance(e, CrossingSlot):
-                dead.add(e.crossing)
-    return dead
 
 
 def delete_wedge(d: Diagram, wid: str) -> Diagram:
@@ -194,12 +163,8 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
     prefixed ``d.``; ``dd``'s remaining wedges keep their boundary
     positions and ``dc``'s are appended per color.
     """
-    wv = dd.wedge_by_id.get(v)
-    if wv is None or wv.color != INCOMING:
-        raise CompositionError(f"{v} is not an incoming wedge")
-    wu = dc.wedge_by_id.get(u)
-    if wu is None or wu.color != OUTGOING:
-        raise CompositionError(f"{u} is not an outgoing wedge")
+    wv = _wedge(dd, v, INCOMING)
+    wu = _wedge(dc, u, OUTGOING)
     if wu.genus != wv.genus:
         raise GenusMismatchError(
             f"cannot sew genus {wu.genus} to genus {wv.genus}")
@@ -236,12 +201,14 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
                 copies[(j, k)] = xid
 
         # Cable splice blocks along each traversing strand.
+        blocks = []
         for k, cable in enumerate(cables):
             block = []
             for j, (slot, ev) in enumerate(inherited):
                 block.append(CrossingSlot(copies[(j, k)], ev.role))
             if cable.direction == -1:
                 block.reverse()
+            blocks.append(block)
             splices.setdefault(cable.strand, []).append(
                 (cable.gap, cable.seq, block))
 
@@ -265,7 +232,7 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
             cable_role = UNDER if m.kind == "over" else OVER
             out_block = []
             in_block = []
-            for k, cable in enumerate(cables):
+            for cable, block in zip(cables, blocks):
                 x_out = ed.new_crossing(m.enter_sign * cable.direction,
                                         prefix="s")
                 x_in = ed.new_crossing(-m.enter_sign * cable.direction,
@@ -276,10 +243,8 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
                 tail = CrossingSlot(x_in, cable_role)
                 if cable.direction == -1:
                     head, tail = tail, head
-                for entry in splices[cable.strand]:
-                    if entry[:2] == (cable.gap, cable.seq):
-                        entry[2].insert(0, head)
-                        entry[2].append(tail)
+                block.insert(0, head)
+                block.append(tail)
             splices.setdefault(m.strand, []).append(
                 (m.gap, m.seq, out_block + list(reversed(in_block))))
 
@@ -300,12 +265,8 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
 def make_identity_link(d: Diagram, u: str, v: str) -> Diagram:
     """Link a clean outgoing/incoming wedge pair into the identity-link
     configuration (the Twist move)."""
-    wu = d.wedge_by_id.get(u)
-    wv = d.wedge_by_id.get(v)
-    if wu is None or wu.color != OUTGOING:
-        raise CompositionError(f"{u} is not an outgoing wedge")
-    if wv is None or wv.color != INCOMING:
-        raise CompositionError(f"{v} is not an incoming wedge")
+    wu = _wedge(d, u, OUTGOING)
+    wv = _wedge(d, v, INCOMING)
     if wu.genus != wv.genus:
         raise GenusMismatchError("wedges must have equal genus")
     try:
@@ -358,37 +319,37 @@ def mend(d: Diagram, u: str, v: str, swap_roles: bool = False) -> Diagram:
     the incoming wedge, ``y`` from the outgoing one; ``swap_roles``
     exchanges the convention, which must not change any invariant).
     """
-    wu = d.wedge_by_id.get(u)
-    wv = d.wedge_by_id.get(v)
-    if wu is None or wu.color != OUTGOING:
-        raise CompositionError(f"{u} is not an outgoing wedge")
-    if wv is None or wv.color != INCOMING:
-        raise CompositionError(f"{v} is not an incoming wedge")
+    wu = _wedge(d, u, OUTGOING)
+    wv = _wedge(d, v, INCOMING)
     if wu.genus != wv.genus:
         raise GenusMismatchError("mend needs wedges of equal genus")
     g = wu.genus
 
-    pair_circles = set(wu.circle_ids) | set(wv.circle_ids)
-    for x in d.crossings:
-        sides = {x.over[0], x.under[0]}
-        if sides & pair_circles:
-            others = sides - pair_circles
-            for cid in others:
-                if d.circle(cid).is_wedge():
-                    raise CompositionError(
-                        "mend pair may not be linked with other wedges "
-                        f"(crossing {x.id})")
-
+    # One walk along the pair circles, index by index, finds the first
+    # crossing with another wedge and the first one that breaks the
+    # index-wise clasp pattern; the first is reported before the clasp
+    # check and the second after it.
+    mate = {}
+    for vc, uc in zip(wv.circle_ids, wu.circle_ids):
+        mate[vc], mate[uc] = uc, vc
+    foreign = stray = None
+    for cid in mate:
+        for _, x, (other, _) in crossings_along(d, cid):
+            if other not in mate:
+                if foreign is None and d.circle(other).is_wedge():
+                    foreign = x
+            elif other != mate[cid] and stray is None:
+                stray = (x, {cid, other})
+    if foreign is not None:
+        raise CompositionError(
+            "mend pair may not be linked with other wedges "
+            f"(crossing {foreign.id})")
     clasps = [_find_clasp(d, vc, uc)
               for vc, uc in zip(wv.circle_ids, wu.circle_ids)]
-    for i, (vc, uc) in enumerate(zip(wv.circle_ids, wu.circle_ids)):
-        for x in d.crossings:
-            sides = {x.over[0], x.under[0]}
-            if (sides <= pair_circles and sides != {vc, uc}
-                    and (vc in sides or uc in sides)):
-                raise CompositionError(
-                    "mend pair must clasp index-wise only "
-                    f"(crossing {x.id} joins {sides})")
+    if stray is not None:
+        raise CompositionError(
+            "mend pair must clasp index-wise only "
+            f"(crossing {stray[0].id} joins {stray[1]})")
 
     ed = DiagramEditor(d)
     x_sources = wu.circle_ids if swap_roles else wv.circle_ids

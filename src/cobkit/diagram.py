@@ -181,17 +181,24 @@ class Diagram:
         return [c for c in self.circles if c.is_wedge()]
 
 
+def crossings_along(d: Diagram, cid: str):
+    """The crossings met along circle ``cid``, read from its own event
+    list in traversal order: ``(slot, crossing, other)`` per crossing
+    event, where ``other`` is the (circle, slot) of the strand met there
+    (``cid`` itself at a self-crossing, which is met twice)."""
+    for slot, e in d.circle(cid).crossing_events():
+        x = d.crossing(e.crossing)
+        yield slot, x, x.strand(UNDER if e.role == OVER else OVER)
+
+
 def crossings_between(d: Diagram, a: str, b: str):
-    """Crossings with one strand on circle ``a`` and the other on ``b``."""
-    found = []
-    for x in d.crossings:
-        ids = {x.over[0], x.under[0]}
-        if a == b:
-            if ids == {a}:
-                found.append(x)
-        elif ids == {a, b}:
-            found.append(x)
-    return found
+    """Crossings with one strand on circle ``a`` and the other on ``b``,
+    found along ``a``; a self-crossing (``a == b``) is listed once, at its
+    over pass.  An unknown id meets nothing."""
+    if a not in d.circle_by_id:
+        return []
+    return [x for slot, x, (other, _) in crossings_along(d, a)
+            if other == b and (a != b or x.over == (a, slot))]
 
 
 def _pair(a, b):

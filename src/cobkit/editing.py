@@ -212,16 +212,25 @@ class DiagramEditor:
                        tuple(self.source_order), tuple(self.target_order))
 
 
-def clasp_events(editor: DiagramEditor, a, at_a, b, at_b, prefix="x"):
-    """Install the positive identity clasp between circles ``a`` and ``b``.
+def slot_after_removal(events, slot, dead):
+    """Where slot ``slot`` of the event list ``events`` lands once the
+    crossings in ``dead`` are removed: the number of events before it
+    that are not crossings in ``dead``."""
+    return sum(1 for e in events[:slot]
+               if not (isinstance(e, CrossingSlot) and e.crossing in dead))
+
+
+def clasp_events(editor: DiagramEditor, a, at_a, b, at_b, prefix="x",
+                 sign=1):
+    """Install the identity clasp between circles ``a`` and ``b``.
 
     Inserts ``[c1 under, c2 over]`` on ``a`` at slot ``at_a`` and
     ``[c2 under, c1 over]`` on ``b`` at ``at_b``; both crossings have sign
-    +1, which links the circles once positively and pierces each membrane
-    once.
+    ``sign``.  With +1 this links the circles once positively and
+    pierces each membrane once; -1 gives the mirror clasp.
     """
-    c1 = editor.new_crossing(1, prefix)
-    c2 = editor.new_crossing(1, prefix)
+    c1 = editor.new_crossing(sign, prefix)
+    c2 = editor.new_crossing(sign, prefix)
     editor.insert_events(a, at_a, [CrossingSlot(c1, UNDER),
                                    CrossingSlot(c2, OVER)])
     editor.insert_events(b, at_b, [CrossingSlot(c2, UNDER),

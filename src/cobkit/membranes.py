@@ -14,14 +14,20 @@ Successive crossings of one strand with the circle pair up into
 mixed over/under flags passes through the membrane once -- a piercing,
 signed by the crossing where the strand dives under.  Equal flags mean
 the strand sails over (or under) the disk and contributes nothing.
+
+A circle's crossings are read from its own event list and nowhere else.
+Finding the excursions into one membrane is one walk along the circle:
+each crossing event names the strand met there, that strand's slot and
+the position along the circle.  Grouped by strand and sorted by strand
+slot, the visits come in strand order, so no strand is walked and no
+other crossing of the diagram is looked at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import (CrossingSlot, Diagram, OVER, UNDER,
-                      crossings_between)
+from .diagram import Diagram, OVER, UNDER, crossings_along
 from .errors import NotStandardPositionError, NotWedgeCircleError
 
 
@@ -76,92 +82,57 @@ class Excursion:
         return "over" if self.enter_flag == OVER else "under"
 
 
-def is_simple(d: Diagram, cid: str) -> bool:
-    """True when the circle's projection has no self-crossings."""
-    return not crossings_between(d, cid, cid)
-
-
-def excursions_into(d: Diagram, strand_id: str, membrane_circle: str):
-    """The strand's excursions into the membrane region, in strand order.
-
-    Requires the enter/leave classification to alternate along the strand
-    (always true of a planar code in which the wedge circle is simple).
-    """
-    strand = d.circle(strand_id)
-    visits = []
-    for slot, ev in enumerate(strand.events):
-        if not isinstance(ev, CrossingSlot):
-            continue
-        x = d.crossing(ev.crossing)
-        other = x.strand(OVER if ev.role == UNDER else UNDER)[0]
-        if other == membrane_circle:
-            visits.append((slot, ev))
-    if not visits:
-        return []
-    if len(visits) % 2:
-        raise NotStandardPositionError(
-            f"strand {strand_id} crosses {membrane_circle} an odd number of times")
-
-    flags = [d.crossing(ev.crossing).right_to_left(membrane_circle)
-             for _, ev in visits]
-    if True not in flags:
-        raise NotStandardPositionError(
-            f"strand {strand_id} never enters the membrane of {membrane_circle}")
-    start = flags.index(True)
-    order = [(visits[(start + k) % len(visits)],
-              flags[(start + k) % len(visits)]) for k in range(len(visits))]
-    out = []
-    for k in range(0, len(order), 2):
-        (eslot, eev), ef = order[k]
-        (lslot, lev), lf = order[k + 1]
-        if not ef or lf:
-            raise NotStandardPositionError(
-                f"crossings of {strand_id} with {membrane_circle} do not "
-                "alternate between entering and leaving")
-        n = len(strand.events)
-        interior = []
-        s = (eslot + 1) % n
-        while s != lslot:
-            interior.append(s)
-            s = (s + 1) % n
-        out.append(Excursion(
-            strand=strand_id, circle=membrane_circle,
-            enter=eev.crossing, leave=lev.crossing,
-            enter_flag=eev.role, leave_flag=lev.role,
-            enter_slot=eslot, leave_slot=lslot,
-            interior=tuple(interior)))
-    out.sort(key=lambda e: e.enter_slot)
-    return out
-
-
-def membrane_position(d: Diagram, membrane_circle: str, xid: str) -> int:
-    """Position of crossing ``xid`` along the wedge circle from its depart."""
-    c = d.circle(membrane_circle)
-    for slot, ev in enumerate(c.events):
-        if isinstance(ev, CrossingSlot) and ev.crossing == xid:
-            return slot
-    raise NotStandardPositionError(
-        f"crossing {xid} is not on circle {membrane_circle}")
-
-
 def circle_excursions(d: Diagram, cid: str):
     """All excursions of all other circles into the left region of the
-    simple closed circle ``cid``, ordered along it by
-    :attr:`Excursion.anchor`.  Works for surgery circles too (blow-downs
-    need it); membrane semantics for wedge circles are the same.
+    simple closed circle ``cid``, as ``(position, excursion)`` pairs
+    ordered along it by the position of :attr:`Excursion.anchor`.  Works
+    for surgery circles too (blow-downs need it); membrane semantics for
+    wedge circles are the same.  Reads ``cid``'s own events only (see
+    the module notes).
     """
-    if not is_simple(d, cid):
-        raise NotStandardPositionError(f"circle {cid} has self-crossings")
-    strands = sorted({x.over[0] if x.under[0] == cid else x.under[0]
-                      for x in d.crossings
-                      if cid in (x.over[0], x.under[0])
-                      and {x.over[0], x.under[0]} != {cid}})
+    visits = {}       # strand -> [(strand slot, position along cid, crossing)]
+    for pos, x, (sid, slot) in crossings_along(d, cid):
+        if sid == cid:
+            raise NotStandardPositionError(f"circle {cid} has self-crossings")
+        visits.setdefault(sid, []).append((slot, pos, x))
     anchored = []
-    for sid in strands:
-        for exc in excursions_into(d, sid, cid):
-            anchored.append((membrane_position(d, cid, exc.anchor), exc))
+    for sid in sorted(visits):
+        anchored += _strand_excursions(d, sid, cid,
+                                       sorted(visits[sid], key=lambda v: v[0]))
     anchored.sort(key=lambda t: t[0])
     return anchored
+
+
+def _strand_excursions(d: Diagram, sid: str, cid: str, visits):
+    """Pair one strand's visits to ``cid`` (in strand order) into
+    excursions, each with its anchor's position along ``cid``."""
+    if len(visits) % 2:
+        raise NotStandardPositionError(
+            f"strand {sid} crosses {cid} an odd number of times")
+    flags = [x.right_to_left(cid) for _, _, x in visits]
+    if True not in flags:
+        raise NotStandardPositionError(
+            f"strand {sid} never enters the membrane of {cid}")
+    start = flags.index(True)
+    visits = visits[start:] + visits[:start]
+    flags = flags[start:] + flags[:start]
+    n = len(d.circle(sid).events)
+    out = []
+    for k in range(0, len(visits), 2):
+        if not flags[k] or flags[k + 1]:
+            raise NotStandardPositionError(
+                f"crossings of {sid} with {cid} do not alternate between "
+                "entering and leaving")
+        (eslot, epos, ex), (lslot, lpos, lx) = visits[k], visits[k + 1]
+        exc = Excursion(
+            strand=sid, circle=cid, enter=ex.id, leave=lx.id,
+            enter_flag=OVER if ex.over[0] == sid else UNDER,
+            leave_flag=OVER if lx.over[0] == sid else UNDER,
+            enter_slot=eslot, leave_slot=lslot,
+            interior=tuple((eslot + 1 + i) % n
+                           for i in range((lslot - eslot - 1) % n)))
+        out.append((epos if exc.anchor == ex.id else lpos, exc))
+    return out
 
 
 def membrane_excursions(d: Diagram, cid: str):
@@ -188,30 +159,15 @@ def piercings(d: Diagram, cid: str):
     return out
 
 
-def membrane_side_faces(m, cid: str):
-    """Faces of the map ``m`` on the membrane side of a crossing-free
-    simple wedge circle.
-
-    Used to decide region containment between non-crossing wedge circles:
-    the membrane side is the set of faces reachable in the dual graph
-    without stepping across the circle, starting from its left.
-    """
-    from .planarity import Dart, reverse
-
-    face_of = m.face_of
-    adjacency = {}
-    for dart, i in face_of.items():
-        if dart.circle == cid:
-            continue
-        j = face_of[reverse(dart)]
-        adjacency.setdefault(i, set()).add(j)
-    seed = face_of[Dart(cid, 0, 1)]
+def _membrane_side(dual, seed, cid):
+    """Faces reachable in the dual graph from face ``seed`` without
+    stepping across circle ``cid``: with ``seed`` on the left of a
+    crossing-free simple circle, the faces on its membrane side."""
     seen = {seed}
     frontier = [seed]
     while frontier:
-        f = frontier.pop()
-        for g in adjacency.get(f, ()):
-            if g not in seen:
+        for g, circle in dual.get(frontier.pop(), ()):
+            if circle != cid and g not in seen:
                 seen.add(g)
                 frontier.append(g)
     return seen
@@ -222,29 +178,30 @@ def is_standard_position(d: Diagram) -> bool:
     consistent, and no wedge circle inside another's membrane region."""
     wcircles = d.wedge_circles()
     for c in wcircles:
-        if not is_simple(d, c.id):
+        if any(d.circle(other).is_wedge()
+               for _, _, (other, _) in crossings_along(d, c.id)):
             return False
-    for i, a in enumerate(wcircles):
-        for b in wcircles[i + 1:]:
-            if crossings_between(d, a.id, b.id):
-                return False
-    for c in wcircles:
         try:
             membrane_excursions(d, c.id)
         except NotStandardPositionError:
             return False
-    # Containment: with no mutual crossings each other wedge circle lies
-    # wholly on one side; none may sit on the membrane side.
-    from .planarity import CombinatorialMap, Dart
-
     if not wcircles:
         return True
+    # Containment: with no mutual crossings each other wedge circle lies
+    # wholly on one side; none may sit on the membrane side.  The dual
+    # graph is built once, each edge labelled with the circle it crosses.
+    from .planarity import CombinatorialMap, Dart, reverse
+
     m = CombinatorialMap(d)
+    face_of = m.face_of
+    dual = {}
+    for dart, i in face_of.items():
+        dual.setdefault(i, []).append((face_of[reverse(dart)], dart.circle))
     for c in wcircles:
-        inside = membrane_side_faces(m, c.id)
+        inside = _membrane_side(dual, face_of[Dart(c.id, 0, 1)], c.id)
         for other in wcircles:
             if other.id == c.id or other.wedge == c.wedge:
                 continue
-            if m.face_of[Dart(other.id, 0, 1)] in inside:
+            if face_of[Dart(other.id, 0, 1)] in inside:
                 return False
     return True

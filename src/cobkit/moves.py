@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_form
-from .diagram import (CrossingSlot, Diagram, OVER, UNDER, crossings_between,
-                      linking_number)
-from .editing import DiagramEditor, clasp_events
+from .diagram import (CrossingSlot, Diagram, INCOMING, OUTGOING, OVER, UNDER,
+                      crossings_between, linking_number)
+from .editing import DiagramEditor, clasp_events, slot_after_removal
 from .errors import MoveError, NotStandardPositionError
 from .membranes import circle_excursions
 from .planarity import (CombinatorialMap, Dart, arc_endpoints, circle_arcs,
@@ -321,23 +321,12 @@ def _apply_blow_down(d: Diagram, m: BlowDown) -> Diagram:
                         m.circle) from exc
     n = len(passes)
 
-    # Record, per pass, where its two crossings with c sit, then drop c.
+    # Record, per pass, where it starts once c and its crossings are gone.
+    dead = {e.crossing for _, e in c.crossing_events()}
+    marks = [(strand, slot_after_removal(d.circle(strand).events, slot, dead),
+              p) for strand, slot, p in passes]
     ed = DiagramEditor(d)
-    dead = {e.crossing for e in d.circle(m.circle).events
-            if isinstance(e, CrossingSlot)}
-    marks = []   # (strand, index of the event that starts the pass)
-    for strand, enter_slot, p in passes:
-        marks.append([strand, enter_slot, p])
     ed.remove_circle(m.circle)
-
-    # Relocate marks after the event removals.
-    for mark in marks:
-        strand, slot, _ = mark
-        old = d.circle(strand).events
-        kept_before = sum(
-            1 for e in old[:slot]
-            if not (isinstance(e, CrossingSlot) and e.crossing in dead))
-        mark[1] = kept_before
 
     # Full -eps twist on the bundle: braid word (s_1 ... s_{n-1})^n.
     if n > 1:
@@ -514,9 +503,9 @@ def _apply_twist(d: Diagram, m: Twist) -> Diagram:
     identity-link configuration (index-wise linking +1)."""
     win = d.wedge_by_id.get(m.incoming)
     wout = d.wedge_by_id.get(m.outgoing)
-    if win is None or win.color != "incoming":
+    if win is None or win.color != INCOMING:
         raise MoveError(f"{m.incoming} is not an incoming wedge", m.incoming)
-    if wout is None or wout.color != "outgoing":
+    if wout is None or wout.color != OUTGOING:
         raise MoveError(f"{m.outgoing} is not an outgoing wedge", m.outgoing)
     if win.genus != wout.genus:
         raise MoveError("twist needs wedges of equal genus")

@@ -8,9 +8,12 @@ import re
 
 import pytest
 
-from cobkit import (borromean, hopf, identity_diagram, overpass_circle,
-                    sigma_g_s1_link, stacked_rings, tensor, thread_circle,
-                    trefoil, unknot, validate, wedge_row)
+from cobkit import (borromean, hopf, identity_diagram, mend,
+                    overpass_circle, sigma_g_s1_link, stacked_rings, tensor,
+                    thread_circle, trefoil, unknot, validate, wedge_row)
+from cobkit.diagram import CrossingSlot, OVER, UNDER
+from cobkit.errors import NotStandardPositionError
+from cobkit.membranes import Excursion
 
 
 def _decorated_wedge(color, g, threads=0, overpasses=0):
@@ -43,6 +46,20 @@ def corpus_with_wedge(color):
     out.append((0, wedge_row([(color, 0), ("incoming", 1)])))
     for g, d in out:
         assert validate(d).ok
+    return out
+
+
+def builder_corpus():
+    """Every builder at small sizes, mended identities, a tensor product
+    and both wedge corpora."""
+    out = [unknot(0), unknot(-3), hopf(1, -2), borromean(0, 1, -1), trefoil(),
+           stacked_rings(1, 0, -1)]
+    for g in range(4):
+        out += [identity_diagram(g), sigma_g_s1_link(g),
+                mend(identity_diagram(g), "V", "U")]
+    out.append(tensor(identity_diagram(2), sigma_g_s1_link(2)))
+    for color in ("incoming", "outgoing"):
+        out += [d for _, d in corpus_with_wedge(color)]
     return out
 
 
@@ -90,6 +107,73 @@ def fresh_id_oracle(ed, prefix):
         if m:
             top = max(top, int(m.group(1)))
     return f"{prefix}{top + 1}"
+
+
+def circle_excursions_oracle(d, cid):
+    """What ``circle_excursions(d, cid)`` must return, read by rescanning:
+    self-crossings and partner strands from a scan of every crossing of
+    the diagram, each partner strand walked for its visits to ``cid``,
+    and each anchor's position found by a walk along ``cid``."""
+    if any(x.over[0] == x.under[0] == cid for x in d.crossings):
+        raise NotStandardPositionError(f"circle {cid} has self-crossings")
+    strands = sorted({x.over[0] if x.under[0] == cid else x.under[0]
+                      for x in d.crossings
+                      if cid in (x.over[0], x.under[0])})
+    anchored = []
+    for sid in strands:
+        for exc in _excursions_into_oracle(d, sid, cid):
+            pos = next(slot for slot, ev in enumerate(d.circle(cid).events)
+                       if isinstance(ev, CrossingSlot)
+                       and ev.crossing == exc.anchor)
+            anchored.append((pos, exc))
+    anchored.sort(key=lambda t: t[0])
+    return anchored
+
+
+def _excursions_into_oracle(d, strand_id, membrane_circle):
+    strand = d.circle(strand_id)
+    visits = []
+    for slot, ev in enumerate(strand.events):
+        if not isinstance(ev, CrossingSlot):
+            continue
+        x = d.crossing(ev.crossing)
+        other = x.strand(OVER if ev.role == UNDER else UNDER)[0]
+        if other == membrane_circle:
+            visits.append((slot, ev))
+    if len(visits) % 2:
+        raise NotStandardPositionError(
+            f"strand {strand_id} crosses {membrane_circle} an odd number "
+            "of times")
+    flags = [d.crossing(ev.crossing).right_to_left(membrane_circle)
+             for _, ev in visits]
+    if True not in flags:
+        raise NotStandardPositionError(
+            f"strand {strand_id} never enters the membrane of "
+            f"{membrane_circle}")
+    start = flags.index(True)
+    order = [(visits[(start + k) % len(visits)],
+              flags[(start + k) % len(visits)]) for k in range(len(visits))]
+    out = []
+    for k in range(0, len(order), 2):
+        (eslot, eev), ef = order[k]
+        (lslot, lev), lf = order[k + 1]
+        if not ef or lf:
+            raise NotStandardPositionError(
+                f"crossings of {strand_id} with {membrane_circle} do not "
+                "alternate between entering and leaving")
+        n = len(strand.events)
+        interior = []
+        s = (eslot + 1) % n
+        while s != lslot:
+            interior.append(s)
+            s = (s + 1) % n
+        out.append(Excursion(
+            strand=strand_id, circle=membrane_circle,
+            enter=eev.crossing, leave=lev.crossing,
+            enter_flag=eev.role, leave_flag=lev.role,
+            enter_slot=eslot, leave_slot=lslot,
+            interior=tuple(interior)))
+    return out
 
 
 def random_diagram(rng: random.Random):

@@ -9,7 +9,9 @@ from cobkit import (CompositionError, borromean, boundary_profile, compose,
                     structural_iso, tensor, thread_circle, unknot, validate,
                     wedge_row)
 from cobkit.compose import delete_wedge
-from cobkit.errors import GenusMismatchError
+from cobkit.diagram import INCOMING, OVER, UNDER, CrossingSlot
+from cobkit.editing import DiagramEditor, clasp_events
+from cobkit.errors import GenusMismatchError, MalformedDiagramError
 
 
 # -- tensor -------------------------------------------------------------------
@@ -100,6 +102,18 @@ def test_inside_out_identity_diagram():
 def test_inside_out_needs_outgoing_wedge():
     with pytest.raises(CompositionError):
         inside_out(identity_diagram(1), "U")
+
+
+def test_inside_out_rejects_crossing_circles_of_one_wedge():
+    # validate rejects the code (wedge-self-crossing); inside_out and sew,
+    # which do not validate their input, still name it malformed
+    ed = DiagramEditor(wedge_row([("outgoing", 2)]))
+    clasp_events(ed, "w1c1", 1, "w1c2", 1)
+    d = ed.freeze()
+    with pytest.raises(MalformedDiagramError):
+        inside_out(d, "w1")
+    with pytest.raises(MalformedDiagramError):
+        sew(d, "w1", identity_diagram(2), "U")
 
 
 # -- sewing -------------------------------------------------------------------
@@ -268,6 +282,35 @@ def test_mend_requires_identity_configuration():
     d = wedge_row([("outgoing", 1), ("incoming", 1)])
     with pytest.raises(CompositionError):
         mend(d, "w1", "w2")
+
+
+def _mend_probes():
+    """Valid codes that break the identity-link configuration, each
+    with the text its rejection must contain."""
+    ed = DiagramEditor(identity_diagram(1))
+    ed.add_wedge("W", INCOMING, ["w1"])
+    clasp_events(ed, "w1", 1, "v1", 1, prefix="q")
+    yield ed.freeze(), "V", "U", "other wedges"
+    ed = DiagramEditor(identity_diagram(2))
+    clasp_events(ed, "u1", 1, "v2", 1)
+    yield ed.freeze(), "V", "U", "index-wise"
+    ed = DiagramEditor(wedge_row([("outgoing", 1), ("incoming", 1)]))
+    c1, c2 = ed.new_crossing(-1), ed.new_crossing(-1)
+    ed.insert_events("w2c1", 1, [CrossingSlot(c1, UNDER),
+                                 CrossingSlot(c2, OVER)])
+    ed.insert_events("w1c1", 1, [CrossingSlot(c2, UNDER),
+                                 CrossingSlot(c1, OVER)])
+    yield ed.freeze(), "w1", "w2", "identity-link configuration"
+    ed = DiagramEditor(identity_diagram(1))
+    clasp_events(ed, "u1", 1, "v1", 1, prefix="y")
+    yield ed.freeze(), "V", "U", "cross 4 times"
+
+
+def test_mend_rejects():
+    for d, u, v, text in _mend_probes():
+        assert validate(d).ok
+        with pytest.raises(CompositionError, match=text):
+            mend(d, u, v)
 
 
 def test_mend_swap_roles_invariance():

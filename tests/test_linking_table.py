@@ -1,16 +1,17 @@
-"""The one-sweep linking table against a raw per-pair crossing rescan."""
+"""The one-sweep linking table and ``crossings_between`` against a raw
+per-pair crossing rescan."""
 
 import random
 from dataclasses import replace
 
 import pytest
 
-from cobkit import (AbelianGroup, IntMatrix, borromean, cokernel,
-                    h1_cobordism, hopf, identity_diagram, linking_matrix,
-                    linking_number, mend, sigma_g_s1_link, stacked_rings,
-                    tensor, trefoil, unknot, writhe)
+from cobkit import (AbelianGroup, IntMatrix, cokernel, h1_cobordism, hopf,
+                    linking_matrix, linking_number, sigma_g_s1_link, trefoil,
+                    writhe)
+from cobkit.diagram import crossings_between
 from cobkit.errors import MalformedDiagramError
-from conftest import (_decorated_wedge, corpus_with_wedge, random_diagram,
+from conftest import (_decorated_wedge, builder_corpus, random_diagram,
                       random_valid_move)
 
 
@@ -44,6 +45,11 @@ def _raw_h1(d):
     return cokernel(IntMatrix(rows), len(ids))
 
 
+def _raw_between(d, a, b):
+    return {x.id for x in d.crossings
+            if sorted((x.over[0], x.under[0])) == sorted((a, b))}
+
+
 def _assert_table_matches_rescan(d):
     ids = [c.id for c in d.circles]
     for a in ids:
@@ -51,25 +57,21 @@ def _assert_table_matches_rescan(d):
         for b in ids:
             if a != b:
                 assert linking_number(d, a, b) == _raw_lk(d, a, b)
+    # crossings_between walks the first circle's events; an unknown id
+    # meets nothing and a self-crossing is listed once.
+    for a in ids + ["nope"]:
+        for b in ids + ["nope"]:
+            found = crossings_between(d, a, b)
+            assert len(found) == len(_raw_between(d, a, b))
+            assert {x.id for x in found} == _raw_between(d, a, b)
     assert linking_matrix(d).entries == _raw_linking_matrix(d)
     assert h1_cobordism(d) == _raw_h1(d)
 
 
-def _builder_corpus():
-    out = [unknot(0), unknot(-3), hopf(1, -2), borromean(0, 1, -1), trefoil(),
-           stacked_rings(1, 0, -1)]
-    for g in range(4):
-        out += [identity_diagram(g), sigma_g_s1_link(g),
-                mend(identity_diagram(g), "V", "U")]
-    out.append(tensor(identity_diagram(2), sigma_g_s1_link(2)))
-    for color in ("incoming", "outgoing"):
-        out += [d for _, d in corpus_with_wedge(color)]
-    return out
-
-
 def test_table_matches_rescan_on_builder_corpus():
-    for d in _builder_corpus():
+    for d in builder_corpus():
         _assert_table_matches_rescan(d)
+    assert len(crossings_between(trefoil(), "k1", "k1")) == 3
 
 
 def test_table_matches_rescan_along_random_move_chains():

@@ -1,13 +1,19 @@
 """Membrane piercings, excursions, standard position."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from cobkit import (identity_diagram, is_standard_position, linking_number,
                     overpass_circle, piercings, sew, thread_circle, unknot,
                     validate, wedge_row)
-from cobkit.diagram import crossings_between
-from cobkit.errors import NotWedgeCircleError
-from cobkit.membranes import membrane_excursions
+from cobkit.diagram import OVER, UNDER, CrossingSlot, crossings_between
+from cobkit.editing import DiagramEditor
+from cobkit.errors import CobkitError, NotWedgeCircleError
+from cobkit.membranes import circle_excursions, membrane_excursions
+from conftest import (builder_corpus, circle_excursions_oracle,
+                      random_diagram, random_valid_move)
 
 
 def test_identity_wedge_pierces_partner_once():
@@ -92,3 +98,56 @@ def test_sew_of_standard_inputs_is_standard():
     out = sew(dc, "w1", dd, "w1")
     assert validate(out).ok
     assert is_standard_position(out)
+
+
+def _outcome(f, d, cid):
+    try:
+        return f(d, cid)
+    except CobkitError as exc:
+        return type(exc), str(exc)
+
+
+def _flawed_codes():
+    """Codes whose membrane pairing fails: a strand crossing a circle
+    three times, and single sign flips that make two enter (or leave)
+    flags follow each other."""
+    ed = DiagramEditor()
+    ed.add_surgery_circle("k", 0)
+    ed.add_surgery_circle("s", 0)
+    xs = [ed.new_crossing(1) for _ in range(3)]
+    ed.events["k"] = [CrossingSlot(x, UNDER) for x in xs]
+    ed.events["s"] = [CrossingSlot(x, OVER) for x in xs]
+    out = [ed.freeze()]
+    w = wedge_row([("incoming", 1)])
+    for d in (overpass_circle(w, "w1c1", "s1"),
+              thread_circle(w, "w1c1", "s1", sign=-1)):
+        for k, x in enumerate(d.crossings):
+            flipped = replace(x, sign=-x.sign)
+            out.append(replace(d, crossings=d.crossings[:k] + (flipped,)
+                               + d.crossings[k + 1:]))
+    return out
+
+
+def test_circle_excursions_match_rescan_oracle():
+    diagrams = builder_corpus() + _flawed_codes()
+    rng = random.Random(2718)
+    for _ in range(25):
+        d = random_diagram(rng)
+        diagrams.append(d)
+        for _ in range(6):
+            step = random_valid_move(rng, d)
+            if step is None:
+                break
+            d = step[1]
+            diagrams.append(d)
+    outcomes = []
+    for d in diagrams:
+        for c in d.circles:
+            got = _outcome(circle_excursions, d, c.id)
+            assert got == _outcome(circle_excursions_oracle, d, c.id)
+            outcomes.append(got)
+    messages = [o[1] for o in outcomes if isinstance(o, tuple)]
+    for phrase in ("self-crossings", "odd number", "never enters",
+                   "do not alternate"):
+        assert any(phrase in text for text in messages)
+    assert any(o for o in outcomes if isinstance(o, list))
