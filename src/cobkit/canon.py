@@ -5,95 +5,74 @@ crossings and wedges (plus a cyclic rotation of each surgery circle's
 event list) carries one onto the other, preserving kinds, framings,
 colors, boundary orders, wedge circle orders and rotation data.
 
-The canonical form is the lexicographically smallest encoding of the
-diagram over all admissible choices.  Wedge data admits no freedom:
-wedges are pinned by their positions in the boundary orders, wedge
-circles by their index, and their event lists are anchored at the depart
-slot.  The only branching is over the order of surgery circles and the
-cyclic rotation of each one's event list.
-
-The search emits the encoding circle by circle, keeping every branch
-that ties for the smallest next segment.  Since all live branches share
-the emitted prefix, picking the minimal next segment at each step is
-exactly lexicographic minimization.  Branches that agree on crossing
-labels and the set of unplaced circles have identical futures and are
-merged, which keeps symmetric diagrams cheap.
+The form is read by a forced walk: fix one circle and the slot to read
+it from, and every other label is forced, since each crossing event
+names the one partner strand and slot it meets.  Circles are labelled as
+first met and read from the slot where they were met (wedge circles from
+their depart slot); each event is coded by role, sign, partner label and
+partner slot.  A component holding a wedge circle is read once, from its
+first wedge circle in boundary order; any other takes its smallest code
+over all (circle, slot) starts: O(E^2) for E events, in the worst case.
+The form is the boundary header and the sorted component codes.
 """
 
 from __future__ import annotations
 
-from .diagram import CenterSlot, Diagram
+from .diagram import CenterSlot, Diagram, crossings_along
 
 
-def _segment(d: Diagram, c, rot, labels):
-    """Encoding of one circle at one rotation given the labels assigned so
-    far; returns (segment, updated labels)."""
-    n = len(c.events)
-    if c.is_surgery():
-        head = (0, c.framing, n)
-    else:
-        orders = list(d.source_order) + list(d.target_order)
-        head = (1, orders.index(c.wedge), c.index, n)
-    seg = [head]
-    new_labels = dict(labels)
-    for k in range(n):
-        e = c.events[(rot + k) % n]
-        if isinstance(e, CenterSlot):
-            seg.append((2, 0 if e.which == "depart" else 1))
-        else:
-            if e.crossing not in new_labels:
-                new_labels[e.crossing] = len(new_labels)
-            x = d.crossing(e.crossing)
-            seg.append((3, new_labels[e.crossing],
-                        0 if e.role == "over" else 1, x.sign))
-    return tuple(seg), new_labels
+def _walk(d: Diagram, slots, start, rot):
+    """Code of the component of ``start`` read from slot ``rot``, and the
+    circles met; ``slots`` maps a circle id to its head and events."""
+    label, read_from, code = {start: 0}, [(start, rot)], []
+    for cid, r in read_from:
+        head, events = slots[cid]
+        code.append(head)
+        n = len(events)
+        for k in range(n):
+            e = events[(r + k) % n]
+            if len(e) == 2:                       # a center slot
+                code.append(e)
+                continue
+            role, sign, other, at = e
+            if other not in label:
+                label[other] = len(read_from)
+                read_from.append(
+                    (other, at if d.circle(other).is_surgery() else 0))
+            start_at = read_from[label[other]][1]
+            code.append((3, role, sign, label[other],
+                         (at - start_at) % len(slots[other][1])))
+    return tuple(code), label
 
 
 def canonical_form(d: Diagram):
     """A hashable value equal for two diagrams iff they are isomorphic."""
-    header = (
-        tuple(d.wedge(w).genus for w in d.source_order),
-        tuple(d.wedge(w).genus for w in d.target_order),
-        len(d.circles), len(d.crossings),
-    )
-
-    index_of = {c.id: i for i, c in enumerate(d.circles)}
-    forced = []
-    for wid in list(d.source_order) + list(d.target_order):
-        for cid in d.wedge(wid).circle_ids:
-            forced.append(index_of[cid])
-    free = frozenset(i for i, c in enumerate(d.circles) if c.is_surgery())
-
-    stream = []
-    labels = {}
-    for pos in forced:
-        seg, labels = _segment(d, d.circles[pos], 0, labels)
-        stream.extend(seg)
-
-    # states: set of (labels as sorted tuple, remaining frozenset)
-    states = {(tuple(sorted(labels.items())), free)}
-    while next(iter(states))[1]:
-        candidates = {}
-        best_seg = None
-        for lab_items, remaining in states:
-            lab = dict(lab_items)
-            for pos in remaining:
-                c = d.circles[pos]
-                rots = range(len(c.events)) if c.events else (0,)
-                for rot in rots:
-                    seg, new_lab = _segment(d, c, rot, lab)
-                    if best_seg is not None and seg > best_seg:
-                        continue
-                    key = (tuple(sorted(new_lab.items())),
-                           remaining - {pos})
-                    if best_seg is None or seg < best_seg:
-                        best_seg = seg
-                        candidates = {seg: {key}}
-                    else:
-                        candidates.setdefault(seg, set()).add(key)
-        stream.extend(best_seg)
-        states = candidates[best_seg]
-    return header + (tuple(stream),)
+    boundary = list(d.source_order) + list(d.target_order)
+    position = {w: i for i, w in enumerate(boundary)}
+    slots = {}                # circle id -> (head, per-slot event codes)
+    for c in d.circles:
+        events = [(2, 0 if e.which == "depart" else 1)
+                  if isinstance(e, CenterSlot) else None for e in c.events]
+        for slot, x, other in crossings_along(d, c.id):
+            events[slot] = (0 if x.over == (c.id, slot) else 1, x.sign) + other
+        slots[c.id] = ((0, c.framing, len(events)) if c.is_surgery() else
+                       (1, position[c.wedge], c.index, len(events)), events)
+    codes, seen = [], set()
+    for cid in (cid for w in boundary for cid in d.wedge(w).circle_ids):
+        if cid not in seen:
+            code, met = _walk(d, slots, cid, 0)
+            codes.append(code)
+            seen.update(met)
+    for c in d.circles:
+        if c.id not in seen:
+            met = _walk(d, slots, c.id, 0)[1]
+            codes.append(min(_walk(d, slots, s, r)[0] for s in met
+                             for r in range(len(slots[s][1])) or (0,)))
+            seen.update(met)
+    header = (tuple(d.wedge(w).genus for w in d.source_order),
+              tuple(d.wedge(w).genus for w in d.target_order),
+              len(d.circles), len(d.crossings))
+    return header + (tuple(sorted(codes)),)
 
 
 def structural_iso(d1: Diagram, d2: Diagram) -> bool:

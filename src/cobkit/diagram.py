@@ -246,11 +246,6 @@ def writhe(d: Diagram, a: str) -> int:
     return d.linking_counts.get((a, a), 0)
 
 
-def resequence(events, start):
-    """Rotate a cyclic event tuple so ``start`` comes first."""
-    return tuple(events[start:]) + tuple(events[:start])
-
-
 def relabel(d: Diagram, prefix: str) -> Diagram:
     """A structurally identical copy with every id prefixed.
 

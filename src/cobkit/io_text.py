@@ -4,7 +4,9 @@ The wire format is a JSON tree with explicit ids and a ``format_version``
 field.  Serialization is canonical (sorted keys, fixed separators, one
 trailing newline) so that equal diagrams produce byte-identical text and
 golden files stay stable.  Integers beyond 64 bits are written as
-decimal strings; the parser accepts both forms.
+decimal strings; the parser accepts both forms.  The parser checks the
+JSON type of every node before use and raises only ``ParseError``, with
+a dotted location such as ``diagram.circles[2].events``.
 """
 
 from __future__ import annotations
@@ -42,14 +44,86 @@ def _event_out(e):
     return ["center", e.which]
 
 
+def _reader(kind, name):
+    """The type-checked reader of one JSON node kind."""
+    def read(raw, where):
+        if not isinstance(raw, kind):
+            raise ParseError(f"expected {name} at {where}", where)
+        return raw
+    return read
+
+
+_object = _reader(dict, "an object")
+_list = _reader(list, "a list")
+_string = _reader(str, "a string")
+
+
+def _field(obj, key, read, where, default=MISSING):
+    """``obj[key]`` checked by ``read`` at ``where.key``; a missing key
+    takes ``default``, and without one raises."""
+    try:
+        raw = obj[key]
+    except KeyError:
+        if default is MISSING:
+            raise ParseError(f"missing {key!r} at {where}", where) from None
+        return default
+    return read(raw, f"{where}.{key}")
+
+
+def _items(obj, key, read, where, default=()):
+    """The list ``obj[key]`` with every item checked by ``read`` at
+    ``where.key[i]``, as a tuple."""
+    raw = _field(obj, key, _list, where, default)
+    return tuple(read(item, f"{where}.{key}[{i}]")
+                 for i, item in enumerate(raw))
+
+
 def _event_in(raw, where):
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"bad event at {where}", where)
-    if raw[0] == "x" and len(raw) == 3 and raw[2] in ("over", "under"):
-        return CrossingSlot(str(raw[1]), raw[2])
+    if (raw[0] == "x" and len(raw) == 3 and isinstance(raw[1], str)
+            and raw[2] in ("over", "under")):
+        return CrossingSlot(raw[1], raw[2])
     if raw[0] == "center" and len(raw) == 2 and raw[1] in ("depart", "return"):
         return CenterSlot(raw[1])
     raise ParseError(f"bad event {raw!r} at {where}", where)
+
+
+def _circle_in(raw, where):
+    raw = _object(raw, where)
+    cid = _field(raw, "id", _string, where)
+    events = _items(raw, "events", _event_in, where)
+    kind = raw.get("kind")
+    if kind == SURGERY:
+        return Circle(cid, SURGERY, events,
+                      framing=_field(raw, "framing", _int_in, where, 0))
+    if kind == WEDGE:
+        return Circle(cid, WEDGE, events,
+                      wedge=_field(raw, "wedge", _string, where),
+                      index=_field(raw, "index", _int_in, where, 0))
+    raise ParseError(f"unknown circle kind {kind!r} at {where}", where)
+
+
+def _strand_in(raw, where):
+    if not (isinstance(raw, list) and len(raw) == 2
+            and isinstance(raw[0], str)):
+        raise ParseError(f"expected [circle id, slot] at {where}", where)
+    return raw[0], _int_in(raw[1], where)
+
+
+def _crossing_in(raw, where):
+    raw = _object(raw, where)
+    return Crossing(id=_field(raw, "id", _string, where),
+                    over=_field(raw, "over", _strand_in, where),
+                    under=_field(raw, "under", _strand_in, where),
+                    sign=_field(raw, "sign", _int_in, where))
+
+
+def _wedge_in(raw, where):
+    raw = _object(raw, where)
+    return Wedge(id=_field(raw, "id", _string, where),
+                 color=_field(raw, "color", _string, where),
+                 circle_ids=_items(raw, "circles", _string, where, MISSING))
 
 
 def diagram_to_document(d: Diagram, metadata=None) -> dict:
@@ -102,53 +176,12 @@ def document_to_diagram(doc, where="document") -> Diagram:
     body = doc.get("diagram")
     if not isinstance(body, dict):
         raise ParseError("missing diagram object", "diagram")
-
-    circles = []
-    for i, raw in enumerate(body.get("circles", [])):
-        loc = f"diagram.circles[{i}]"
-        kind = raw.get("kind")
-        events = tuple(_event_in(e, f"{loc}.events[{j}]")
-                       for j, e in enumerate(raw.get("events", [])))
-        if kind == SURGERY:
-            circles.append(Circle(
-                id=str(raw["id"]), kind=SURGERY, events=events,
-                framing=_int_in(raw.get("framing", 0), f"{loc}.framing")))
-        elif kind == WEDGE:
-            circles.append(Circle(
-                id=str(raw["id"]), kind=WEDGE, events=events,
-                wedge=str(raw.get("wedge")),
-                index=_int_in(raw.get("index", 0), f"{loc}.index")))
-        else:
-            raise ParseError(f"unknown circle kind {kind!r}", loc)
-
-    crossings = []
-    for i, raw in enumerate(body.get("crossings", [])):
-        loc = f"diagram.crossings[{i}]"
-        try:
-            crossings.append(Crossing(
-                id=str(raw["id"]),
-                over=(str(raw["over"][0]),
-                      _int_in(raw["over"][1], f"{loc}.over")),
-                under=(str(raw["under"][0]),
-                       _int_in(raw["under"][1], f"{loc}.under")),
-                sign=_int_in(raw["sign"], f"{loc}.sign")))
-        except (KeyError, IndexError, TypeError):
-            raise ParseError(f"malformed crossing at {loc}", loc) from None
-
-    wedges = []
-    for i, raw in enumerate(body.get("wedges", [])):
-        loc = f"diagram.wedges[{i}]"
-        try:
-            wedges.append(Wedge(id=str(raw["id"]), color=raw["color"],
-                                circle_ids=tuple(map(str, raw["circles"]))))
-        except (KeyError, TypeError):
-            raise ParseError(f"malformed wedge at {loc}", loc) from None
-
     d = Diagram(
-        circles=tuple(circles), crossings=tuple(crossings),
-        wedges=tuple(wedges),
-        source_order=tuple(map(str, body.get("source_order", []))),
-        target_order=tuple(map(str, body.get("target_order", []))))
+        circles=_items(body, "circles", _circle_in, "diagram"),
+        crossings=_items(body, "crossings", _crossing_in, "diagram"),
+        wedges=_items(body, "wedges", _wedge_in, "diagram"),
+        source_order=_items(body, "source_order", _string, "diagram"),
+        target_order=_items(body, "target_order", _string, "diagram"))
     report = validate(d)
     if not report.ok:
         first = report.violations[0]
@@ -158,15 +191,20 @@ def document_to_diagram(doc, where="document") -> Diagram:
     return d
 
 
-def parse(text: str) -> Diagram:
-    """Parse and validate a diagram document; raises ParseError with a
-    location on both syntax and semantic failures."""
+def _load_json(text):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}",
                          f"line {exc.lineno}, column {exc.colno}") from None
-    return document_to_diagram(doc)
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", "document") from None
+
+
+def parse(text: str) -> Diagram:
+    """Parse and validate a diagram document; raises ParseError with a
+    location on both syntax and semantic failures."""
+    return document_to_diagram(_load_json(text))
 
 
 # -- move scripts -------------------------------------------------------------
@@ -221,7 +259,7 @@ def _decode_move(obj, where):
         coerce = _FIELD_IN[f.type.partition(" | ")[0]]
         try:
             args[f.name] = coerce(obj[f.name])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, RecursionError):
             raise ParseError(f"malformed {kind} move at {where}: "
                              f"bad {f.name!r}", where) from None
     return cls(**args)
@@ -235,14 +273,10 @@ def serialize_move_script(script) -> str:
 
 
 def parse_move_script(text: str):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}",
-                         f"line {exc.lineno}, column {exc.colno}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ParseError("unsupported move script format_version",
                          "format_version")
     return _moves.MoveScript(tuple(
         _decode_move(obj, f"moves[{i}]")
-        for i, obj in enumerate(doc.get("moves", []))))
+        for i, obj in enumerate(_list(doc.get("moves", []), "moves"))))

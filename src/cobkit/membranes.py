@@ -189,19 +189,21 @@ def is_standard_position(d: Diagram) -> bool:
         return True
     # Containment: with no mutual crossings each other wedge circle lies
     # wholly on one side; none may sit on the membrane side.  The dual
-    # graph is built once, each edge labelled with the circle it crosses.
+    # graph is built once, each edge labelled with the circle it crosses,
+    # and each circle's seed face is read once and indexed by the wedges
+    # it seeds, so each flood fill tests only the faces it reaches.
     from .planarity import CombinatorialMap, Dart, reverse
 
-    m = CombinatorialMap(d)
-    face_of = m.face_of
+    face_of = CombinatorialMap(d).face_of
     dual = {}
     for dart, i in face_of.items():
         dual.setdefault(i, []).append((face_of[reverse(dart)], dart.circle))
+    seed = {c.id: face_of[Dart(c.id, 0, 1)] for c in wcircles}
+    wedges_at = {}
     for c in wcircles:
-        inside = _membrane_side(dual, face_of[Dart(c.id, 0, 1)], c.id)
-        for other in wcircles:
-            if other.id == c.id or other.wedge == c.wedge:
-                continue
-            if face_of[Dart(other.id, 0, 1)] in inside:
+        wedges_at.setdefault(seed[c.id], set()).add(c.wedge)
+    for c in wcircles:
+        for f in _membrane_side(dual, seed[c.id], c.id):
+            if any(w != c.wedge for w in wedges_at.get(f, ())):
                 return False
     return True

@@ -221,26 +221,3 @@ def render_svg(d: Diagram) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def extract_map(svg_text: str):
-    """Rebuild (rotations, arc endpoints) from a rendered SVG; the test
-    helper that checks the drawing realizes the diagram's map."""
-    import re
-
-    rotations = {}
-    for m in re.finditer(
-            r'<g class="vertex" data-id="([^"]+)" data-rotation="([^"]*)"',
-            svg_text):
-        vid, rot = m.group(1), m.group(2)
-        darts = []
-        if rot:
-            for item in rot.split(";"):
-                cid, arc, dr = item.rsplit(":", 2)
-                darts.append(Dart(cid, int(arc), int(dr)))
-        rotations[vid] = tuple(darts)
-    arcs = {}
-    for m in re.finditer(
-            r'<path class="strand" data-circle="([^"]+)" data-arc="(\d+)" '
-            r'data-tail="([^"]+)" data-head="([^"]+)"', svg_text):
-        arcs[(m.group(1), int(m.group(2)))] = (m.group(3), m.group(4))
-    return rotations, arcs

@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from cobkit import (borromean, hopf, identity_diagram, mend,
                     overpass_circle, sigma_g_s1_link, stacked_rings, tensor,
                     thread_circle, trefoil, unknot, validate, wedge_row)
-from cobkit.diagram import CrossingSlot, OVER, UNDER
+from cobkit.diagram import (CenterSlot, CrossingSlot, Diagram, OVER, UNDER,
+                           crossings_along)
 from cobkit.errors import NotStandardPositionError
 from cobkit.membranes import Excursion
 
@@ -210,6 +212,22 @@ def random_diagram(rng: random.Random):
     return d
 
 
+def move_walks(rng: random.Random, walks, steps):
+    """``walks`` seeded random diagrams, each followed by up to ``steps``
+    random valid moves; every diagram along the way, in order."""
+    out = []
+    for _ in range(walks):
+        d = random_diagram(rng)
+        out.append(d)
+        for _ in range(steps):
+            step = random_valid_move(rng, d)
+            if step is None:
+                break
+            d = step[1]
+            out.append(d)
+    return out
+
+
 def random_valid_move(rng: random.Random, d):
     """A uniformly chosen applicable move for ``d``; None when the
     candidate pool is empty."""
@@ -256,3 +274,181 @@ def random_valid_move(rng: random.Random, d):
         except MoveError:
             continue
     return None
+
+
+def _segment_oracle(d, c, rot, labels):
+    """Encoding of one circle at one rotation given the labels assigned so
+    far; returns (segment, updated labels)."""
+    n = len(c.events)
+    if c.is_surgery():
+        head = (0, c.framing, n)
+    else:
+        orders = list(d.source_order) + list(d.target_order)
+        head = (1, orders.index(c.wedge), c.index, n)
+    seg = [head]
+    new_labels = dict(labels)
+    for k in range(n):
+        e = c.events[(rot + k) % n]
+        if isinstance(e, CenterSlot):
+            seg.append((2, 0 if e.which == "depart" else 1))
+        else:
+            if e.crossing not in new_labels:
+                new_labels[e.crossing] = len(new_labels)
+            x = d.crossing(e.crossing)
+            seg.append((3, new_labels[e.crossing],
+                        0 if e.role == "over" else 1, x.sign))
+    return tuple(seg), new_labels
+
+
+def canonical_form_oracle(d):
+    """The branch-and-merge canonical form: the lexicographically smallest
+    encoding over every order of the surgery circles and every rotation of
+    their event lists.  Wedge circles are emitted first, in boundary
+    order, anchored at their depart slot.  The search emits the encoding
+    circle by circle and keeps every branch that ties for the smallest
+    next segment; branches that agree on crossing labels and on the set of
+    unplaced circles have identical futures and are merged.  Exponential
+    in the worst case (about 1.8 s for ``sigma_g_s1_link(6)``)."""
+    header = (
+        tuple(d.wedge(w).genus for w in d.source_order),
+        tuple(d.wedge(w).genus for w in d.target_order),
+        len(d.circles), len(d.crossings),
+    )
+
+    index_of = {c.id: i for i, c in enumerate(d.circles)}
+    forced = []
+    for wid in list(d.source_order) + list(d.target_order):
+        for cid in d.wedge(wid).circle_ids:
+            forced.append(index_of[cid])
+    free = frozenset(i for i, c in enumerate(d.circles) if c.is_surgery())
+
+    stream = []
+    labels = {}
+    for pos in forced:
+        seg, labels = _segment_oracle(d, d.circles[pos], 0, labels)
+        stream.extend(seg)
+
+    # states: set of (labels as sorted tuple, remaining frozenset)
+    states = {(tuple(sorted(labels.items())), free)}
+    while next(iter(states))[1]:
+        candidates = {}
+        best_seg = None
+        for lab_items, remaining in states:
+            lab = dict(lab_items)
+            for pos in remaining:
+                c = d.circles[pos]
+                rots = range(len(c.events)) if c.events else (0,)
+                for rot in rots:
+                    seg, new_lab = _segment_oracle(d, c, rot, lab)
+                    if best_seg is not None and seg > best_seg:
+                        continue
+                    key = (tuple(sorted(new_lab.items())),
+                           remaining - {pos})
+                    if best_seg is None or seg < best_seg:
+                        best_seg = seg
+                        candidates = {seg: {key}}
+                    else:
+                        candidates.setdefault(seg, set()).add(key)
+        stream.extend(best_seg)
+        states = candidates[best_seg]
+    return header + (tuple(stream),)
+
+
+def resequence(events, start):
+    """Rotate a cyclic event tuple so ``start`` comes first."""
+    return tuple(events[start:]) + tuple(events[:start])
+
+
+def scramble(d, rng: random.Random):
+    """An isomorphic copy of ``d``: every id renamed at random, every
+    surgery circle's event list rotated by a random amount, and the
+    ``circles``, ``crossings`` and ``wedges`` tuples shuffled."""
+    ids = ([c.id for c in d.circles] + [x.id for x in d.crossings]
+           + [w.id for w in d.wedges])
+    names = [f"n{k}" for k in range(len(ids))]
+    rng.shuffle(names)
+    new = dict(zip(ids, names))
+    shift = {c.id: rng.randrange(len(c.events))
+             if c.is_surgery() and c.events else 0 for c in d.circles}
+    size = {c.id: len(c.events) for c in d.circles}
+
+    def strand(s):
+        cid, slot = s
+        return new[cid], (slot - shift[cid]) % size[cid]
+
+    circles = [replace(c, id=new[c.id],
+                       wedge=None if c.wedge is None else new[c.wedge],
+                       events=tuple(
+                           CrossingSlot(new[e.crossing], e.role)
+                           if isinstance(e, CrossingSlot) else e
+                           for e in resequence(c.events, shift[c.id])))
+               for c in d.circles]
+    crossings = [replace(x, id=new[x.id], over=strand(x.over),
+                         under=strand(x.under)) for x in d.crossings]
+    wedges = [replace(w, id=new[w.id],
+                      circle_ids=tuple(new[c] for c in w.circle_ids))
+              for w in d.wedges]
+    for part in (circles, crossings, wedges):
+        rng.shuffle(part)
+    return Diagram(tuple(circles), tuple(crossings), tuple(wedges),
+                   tuple(new[w] for w in d.source_order),
+                   tuple(new[w] for w in d.target_order))
+
+
+def is_standard_position_oracle(d):
+    """What ``is_standard_position(d)`` must return, with the containment
+    step done pairwise: for each wedge circle, the seed face of every
+    wedge circle of another wedge is looked up in its membrane side."""
+    from cobkit.membranes import _membrane_side, membrane_excursions
+    from cobkit.planarity import CombinatorialMap, Dart, reverse
+
+    wcircles = d.wedge_circles()
+    for c in wcircles:
+        if any(d.circle(other).is_wedge()
+               for _, _, (other, _) in crossings_along(d, c.id)):
+            return False
+        try:
+            membrane_excursions(d, c.id)
+        except NotStandardPositionError:
+            return False
+    if not wcircles:
+        return True
+    face_of = CombinatorialMap(d).face_of
+    dual = {}
+    for dart, i in face_of.items():
+        dual.setdefault(i, []).append((face_of[reverse(dart)], dart.circle))
+    for c in wcircles:
+        inside = _membrane_side(dual, face_of[Dart(c.id, 0, 1)], c.id)
+        for other in wcircles:
+            if other.id == c.id or other.wedge == c.wedge:
+                continue
+            if face_of[Dart(other.id, 0, 1)] in inside:
+                return False
+    return True
+
+
+def malformed_documents():
+    """Diagram documents of the wrong shape, as ``pytest.param``s named
+    by their flaw: deep nesting, and nodes missing or of the wrong JSON
+    type."""
+    from cobkit import serialize
+    import json
+
+    def edited(edit):
+        doc = json.loads(serialize(hopf(0, 0)))
+        edit(doc["diagram"])
+        return json.dumps(doc)
+
+    def drop_circle_id(body):
+        del body["circles"][0]["id"]
+
+    return [pytest.param(text, id=name) for name, text in [
+        ("deep-nesting", "[" * 100_000 + "]" * 100_000),
+        ("circles-string", edited(lambda b: b.update(circles="k1"))),
+        ("circles-ints", edited(lambda b: b.update(circles=[1, 2]))),
+        ("crossings-null", edited(lambda b: b.update(crossings=None))),
+        ("wedges-null", edited(lambda b: b.update(wedges=None))),
+        ("source-order-int", edited(lambda b: b.update(source_order=3))),
+        ("events-int", edited(lambda b: b["circles"][0].update(events=4))),
+        ("circle-without-id", edited(drop_circle_id)),
+    ]]

@@ -6,6 +6,7 @@ import pytest
 
 from cobkit import builders, parse, serialize, unknot, borromean
 from cobkit.cli import main
+from conftest import malformed_documents
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -153,3 +154,11 @@ def test_build_kind_prints_its_builder(capsys, argv, built):
     code, out, _ = run(capsys, "build", *argv)
     assert code == 0
     assert out == serialize(built())
+
+
+@pytest.mark.parametrize("text", malformed_documents())
+def test_json_errors_on_malformed_document(capsys, monkeypatch, text):
+    code, out, _ = run(capsys, "--json-errors", "validate", "-", stdin=text,
+                       monkeypatch=monkeypatch)
+    assert code == 1
+    assert json.loads(out)["error"]["kind"] == "parse"

@@ -11,6 +11,7 @@ from cobkit import (BlowDown, BlowUp, HandleSlide, MoveScript, R1, R2, R3,
                     sigma_g_s1_link, tensor, thread_circle,
                     trefoil, unknot, wedge_row)
 from cobkit.errors import ParseError
+from conftest import malformed_documents
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -134,3 +135,10 @@ def test_bad_move_reports_its_location(move):
     with pytest.raises(ParseError) as err:
         parse_move_script(text)
     assert err.value.location == "moves[1]"
+
+
+@pytest.mark.parametrize("text", malformed_documents())
+def test_malformed_document_raises_parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.location

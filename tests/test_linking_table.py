@@ -11,8 +11,7 @@ from cobkit import (AbelianGroup, IntMatrix, cokernel, h1_cobordism, hopf,
                     writhe)
 from cobkit.diagram import crossings_between
 from cobkit.errors import MalformedDiagramError
-from conftest import (_decorated_wedge, builder_corpus, random_diagram,
-                      random_valid_move)
+from conftest import _decorated_wedge, builder_corpus, move_walks
 
 
 # -- oracle: rescan every crossing for every pair ------------------------------
@@ -75,16 +74,8 @@ def test_table_matches_rescan_on_builder_corpus():
 
 
 def test_table_matches_rescan_along_random_move_chains():
-    rng = random.Random(31415)
-    for _ in range(25):
-        d = random_diagram(rng)
+    for d in move_walks(random.Random(31415), 25, 4):
         _assert_table_matches_rescan(d)
-        for _ in range(4):
-            step = random_valid_move(rng, d)
-            if step is None:
-                break
-            d = step[1]
-            _assert_table_matches_rescan(d)
 
 
 def test_table_is_built_once_per_diagram():

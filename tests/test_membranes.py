@@ -13,7 +13,7 @@ from cobkit.editing import DiagramEditor
 from cobkit.errors import CobkitError, NotWedgeCircleError
 from cobkit.membranes import circle_excursions, membrane_excursions
 from conftest import (builder_corpus, circle_excursions_oracle,
-                      random_diagram, random_valid_move)
+                      is_standard_position_oracle, move_walks)
 
 
 def test_identity_wedge_pierces_partner_once():
@@ -66,11 +66,44 @@ def test_piercing_order_runs_along_the_circle():
     assert ps[0].order_key < ps[1].order_key
 
 
+def _nested_wedges():
+    """Two wedges of one circle each, ``a`` (incoming) and ``b``
+    (outgoing), with no crossing between them, tied by one surgery
+    circle ``s`` that runs over both; the signs put ``a`` on the membrane
+    side of ``b``, so only the containment step can reject it."""
+    ed = DiagramEditor()
+    ed.add_wedge("A", "incoming", ["a"])
+    ed.add_wedge("B", "outgoing", ["b"])
+    p = ed.new_crossing(1, "p")
+    r1 = ed.new_crossing(1, "r")
+    r2 = ed.new_crossing(-1, "r")
+    q = ed.new_crossing(-1, "q")
+    ed.add_surgery_circle("s", 0, [CrossingSlot(x, OVER)
+                                   for x in (p, r1, r2, q)])
+    ed.insert_events("a", 1, [CrossingSlot(p, UNDER), CrossingSlot(q, UNDER)])
+    ed.insert_events("b", 1, [CrossingSlot(r1, UNDER),
+                              CrossingSlot(r2, UNDER)])
+    return ed.freeze()
+
+
 def test_standard_position_judgments():
     assert not is_standard_position(identity_diagram(2))
     assert is_standard_position(wedge_row([("incoming", 1), ("outgoing", 1)]))
     w = wedge_row([("incoming", 2), ("outgoing", 2)])
     assert is_standard_position(thread_circle(w, "w1c1", "s1"))
+    nested = _nested_wedges()
+    assert validate(nested).ok
+    assert not crossings_between(nested, "a", "b")
+    assert not is_standard_position(nested)
+
+
+def test_standard_position_matches_pairwise_oracle():
+    diagrams = (builder_corpus() + move_walks(random.Random(5772), 25, 6)
+                + [_nested_wedges(),
+                   wedge_row([("incoming", 16), ("outgoing", 16)])])
+    verdicts = [is_standard_position(d) for d in diagrams]
+    assert verdicts == [is_standard_position_oracle(d) for d in diagrams]
+    assert True in verdicts and False in verdicts
 
 
 def test_standard_position_builds_one_map(monkeypatch):
@@ -129,17 +162,8 @@ def _flawed_codes():
 
 
 def test_circle_excursions_match_rescan_oracle():
-    diagrams = builder_corpus() + _flawed_codes()
-    rng = random.Random(2718)
-    for _ in range(25):
-        d = random_diagram(rng)
-        diagrams.append(d)
-        for _ in range(6):
-            step = random_valid_move(rng, d)
-            if step is None:
-                break
-            d = step[1]
-            diagrams.append(d)
+    diagrams = (builder_corpus() + _flawed_codes()
+                + move_walks(random.Random(2718), 25, 6))
     outcomes = []
     for d in diagrams:
         for c in d.circles:

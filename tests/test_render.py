@@ -1,9 +1,32 @@
 """SVG rendering: determinism, crossing gaps, map fidelity."""
 
+import re
+
 from cobkit import (borromean, hopf, identity_diagram, render_svg,
                     sigma_g_s1_link, tensor, trefoil, unknot, wedge_row)
 from cobkit.planarity import CombinatorialMap, circle_arcs, Dart
-from cobkit.render import extract_map
+
+
+def extract_map(svg_text: str):
+    """Rebuild (rotations, arc endpoints) from a rendered SVG, to check
+    that the drawing realizes the diagram's map."""
+    rotations = {}
+    for m in re.finditer(
+            r'<g class="vertex" data-id="([^"]+)" data-rotation="([^"]*)"',
+            svg_text):
+        vid, rot = m.group(1), m.group(2)
+        darts = []
+        if rot:
+            for item in rot.split(";"):
+                cid, arc, dr = item.rsplit(":", 2)
+                darts.append(Dart(cid, int(arc), int(dr)))
+        rotations[vid] = tuple(darts)
+    arcs = {}
+    for m in re.finditer(
+            r'<path class="strand" data-circle="([^"]+)" data-arc="(\d+)" '
+            r'data-tail="([^"]+)" data-head="([^"]+)"', svg_text):
+        arcs[(m.group(1), int(m.group(2)))] = (m.group(3), m.group(4))
+    return rotations, arcs
 
 
 def test_identity_render_has_gapped_crossings():
