@@ -11,13 +11,17 @@ its kind, framing, wedge and index only, since its events live in
 those tables.  ``fresh_id(prefix)`` is ``prefix`` followed
 by 1 + the largest n for which ``prefix`` + n, read like the pattern
 ``prefix(\\d+)$``, is a live circle, crossing or wedge id.  That n is kept
-per prefix: one scan finds it the first time the prefix is asked for,
-every id registered after raises it, and removing the id that holds it
-drops it until the next scan.
+per prefix: the first time the prefix is asked for it is read from the
+ids that start with it, every id registered after raises it, and
+removing the id that holds it drops it until the next read.  Those ids
+are one run of the sorted id list, which the first ``fresh_id`` call
+builds by one sort and every registration and removal keeps sorted, so
+a read bisects to that run instead of scanning every id.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import replace
 from itertools import chain
 
@@ -46,6 +50,7 @@ class DiagramEditor:
         self.source_order = []
         self.target_order = []
         self._top = {}        # prefix -> its high-water mark (see fresh_id)
+        self._sorted = None   # every live id, sorted, once fresh_id is asked
         if d is not None:
             self.load(d)
 
@@ -58,6 +63,8 @@ class DiagramEditor:
         twin.source_order = list(self.source_order)
         twin.target_order = list(self.target_order)
         twin._top = dict(self._top)
+        if self._sorted is not None:
+            twin._sorted = list(self._sorted)
         return twin
 
     def load(self, d: Diagram):
@@ -77,12 +84,17 @@ class DiagramEditor:
     def fresh_id(self, prefix):
         top = self._top.get(prefix)
         if top is None:
-            top = self._top[prefix] = max(
-                (int(digits)
-                 for i in chain(self.circles, self.signs, self.wedges)
-                 if i.startswith(prefix)
-                 for p, digits in _readings(i) if p == prefix),
-                default=0)
+            if self._sorted is None:
+                self._sorted = sorted(
+                    chain(self.circles, self.signs, self.wedges))
+            ids = self._sorted
+            k, top = bisect_left(ids, prefix), 0
+            while k < len(ids) and ids[k].startswith(prefix):
+                for p, digits in _readings(ids[k]):
+                    if p == prefix:
+                        top = max(top, int(digits))
+                k += 1
+            self._top[prefix] = top
         return f"{prefix}{top + 1}"
 
     def _take(self, table, i, value):
@@ -91,6 +103,8 @@ class DiagramEditor:
         if i in table:
             raise MalformedDiagramError(f"id {i} already used")
         table[i] = value
+        if self._sorted is not None:
+            insort(self._sorted, i)
         if self._top:
             for p, digits in _readings(i):
                 if p in self._top and int(digits) > self._top[p]:
@@ -99,6 +113,8 @@ class DiagramEditor:
     def _drop(self, table, i):
         """The one removal path: forget an id, and the marks it held."""
         value = table.pop(i)
+        if self._sorted is not None:
+            del self._sorted[bisect_left(self._sorted, i)]
         if self._top:
             for p, digits in _readings(i):
                 if self._top.get(p) == int(digits):

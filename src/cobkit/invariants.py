@@ -68,15 +68,44 @@ class IntMatrix:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
 
+def _bezout(x, y):
+    """(g, s, t) with s x + t y = g = gcd(x, y), for x, y > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return x, s0, t0
+
+
 def smith_normal_form(m: IntMatrix):
     """(U, D, V) with U m V = D, U and V unimodular, D diagonal with a
     divisibility chain and nonnegative entries.
 
-    Pivot rule: smallest nonzero absolute value in the working block,
-    ties by (row, col) index; rows are cleared before columns.  The rule
-    is deterministic so the transforms are reproducible.  Elimination
-    stops at the first zero block, since every later block lies inside
-    it.
+    One elimination, stage by stage on the block from (s, s):
+
+    - The pivot is the smallest nonzero absolute value in the block, ties
+      by (row, col) index, found by one scan per stage and moved to
+      (s, s).  Elimination stops at the first zero block, since every
+      later block lies inside it; a zero m thus gives U = I and V = I.
+    - Column s is cleared by row operations with nearest-remainder
+      quotients (each remainder at most half the pivot); they touch only
+      columns >= s, since those to the left are already zero.  While a
+      remainder is left, the smallest one becomes the pivot and the
+      column is cleared again.
+    - Once column s is clean, row s is cleared the same way by column
+      operations, which then change only row s of the block; V is kept
+      transposed so each one is a row update.  A remainder left in row s
+      becomes the pivot and the stage goes back to column s.
+    - After diagonalising, each pair i < j with d_i not dividing d_j is
+      replaced by (gcd, lcm) through the unimodular 2 x 2 steps
+      [[s, t], [-y/g, x/g]] on rows i, j of U and [[1, -t y/g],
+      [1, s x/g]] on columns i, j of V, where s x + t y = g.
+
+    Every pivot change at least halves the pivot, and remainders stay
+    below the pivot, which curbs entry growth.  The rule is
+    deterministic so the transforms are reproducible.
 
     Every call checks ``U m V = D`` exactly.  :meth:`IntMatrix.mul` skips
     zero entries, so the check costs O(R^2 + C^2 + R C) on a zero m
@@ -85,87 +114,88 @@ def smith_normal_form(m: IntMatrix):
     a = [list(r) for r in m.entries]
     R, C = m.rows, m.cols
     u = [[int(i == j) for j in range(R)] for i in range(R)]
-    v = [[int(i == j) for j in range(C)] for i in range(C)]
-
-    def row_op(i, j, q):      # row_i -= q * row_j
-        for k in range(C):
-            a[i][k] -= q * a[j][k]
-        for k in range(R):
-            u[i][k] -= q * u[j][k]
-
-    def col_op(i, j, q):      # col_i -= q * col_j
-        for r in range(R):
-            a[r][i] -= q * a[r][j]
-        for r in range(C):
-            v[r][i] -= q * v[r][j]
+    vt = [[int(i == j) for j in range(C)] for i in range(C)]   # V, transposed
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        for r in range(R):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(C):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+    def swap_cols(s, j):      # rows above s are zero in columns >= s
+        for r in range(s, R):
+            row = a[r]
+            row[s], row[j] = row[j], row[s]
+        vt[s], vt[j] = vt[j], vt[s]
 
-    def negate_row(i):
-        for k in range(C):
-            a[i][k] = -a[i][k]
-        for k in range(R):
-            u[i][k] = -u[i][k]
-
-    n = min(R, C)
-    for s in range(n):
-        while True:
-            pivot = None
-            for i in range(s, R):
-                for j in range(s, C):
-                    if a[i][j] != 0 and (pivot is None
-                                         or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            if pivot != (s, s):
-                if pivot[0] != s:
-                    swap_rows(s, pivot[0])
-                if pivot[1] != s:
-                    swap_cols(s, pivot[1])
-            if a[s][s] < 0:
-                negate_row(s)
-            clean = True
-            for i in range(s + 1, R):
-                q = a[i][s] // a[s][s]
-                if q:
-                    row_op(i, s, q)
-                if a[i][s]:
-                    clean = False
-            for j in range(s + 1, C):
-                q = a[s][j] // a[s][s]
-                if q:
-                    col_op(j, s, q)
-                if a[s][j]:
-                    clean = False
-            if not clean:
-                continue
-            # Enforce divisibility into the remaining block.
-            offender = None
-            for i in range(s + 1, R):
-                for j in range(s + 1, C):
-                    if a[i][j] % a[s][s]:
-                        offender = i
-                        break
-                if offender:
-                    break
-            if offender is None:
-                break
-            row_op(s, offender, -1)   # fold the offending row in, repeat
+    rank = 0
+    for s in range(min(R, C)):
+        pivot = min(((abs(x), i, j) for i in range(s, R)
+                     for j, x in enumerate(a[i][s:], s) if x), default=None)
         if pivot is None:
             break   # zero block: every later block lies inside it
+        _, i, j = pivot
+        if i != s:
+            swap_rows(s, i)
+        if j != s:
+            swap_cols(s, j)
+        while True:
+            top, utop = a[s], u[s]
+            p, tail = top[s], top[s:]
+            best = None
+            for i in range(s + 1, R):
+                row = a[i]
+                x = row[s]
+                if not x:
+                    continue
+                q = (2 * x + p) // (2 * p)     # nearest: |x - q p| <= |p|/2
+                if q:
+                    row[s:] = [y - q * z for y, z in zip(row[s:], tail)]
+                    u[i] = [y - q * z for y, z in zip(u[i], utop)]
+                    x = row[s]
+                if x and (best is None or abs(x) < abs(a[best][s])):
+                    best = i
+            if best is not None:
+                swap_rows(s, best)
+                continue
+            # Column s is clean, so a column operation changes row s only.
+            vs = vt[s]
+            for j in range(s + 1, C):
+                x = top[j]
+                if not x:
+                    continue
+                q = (2 * x + p) // (2 * p)
+                if q:
+                    x = top[j] = x - q * p
+                    vt[j] = [y - q * z for y, z in zip(vt[j], vs)]
+                if x and (best is None or abs(x) < abs(top[best])):
+                    best = j
+            if best is None:
+                break
+            swap_cols(s, best)
+        if p < 0:
+            top[s] = -p
+            u[s] = [-y for y in u[s]]
+        rank += 1
+
+    # Divisibility chain on the diagonal: (x, y) -> (gcd, lcm) pairwise.
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            x, y = a[i][i], a[j][j]
+            if y % x == 0:
+                continue
+            g, s, t = _bezout(x, y)
+            xg, yg = x // g, y // g
+            ui, uj = u[i], u[j]
+            u[i] = [s * b + t * c for b, c in zip(ui, uj)]
+            u[j] = [xg * c - yg * b for b, c in zip(ui, uj)]
+            vi, vj = vt[i], vt[j]
+            ti, tj = -t * yg, s * xg
+            vt[i] = [b + c for b, c in zip(vi, vj)]
+            vt[j] = [ti * b + tj * c for b, c in zip(vi, vj)]
+            a[i][i], a[j][j] = g, x * yg
 
     d = IntMatrix(tuple(tuple(row) for row in a))
     uu = IntMatrix(tuple(tuple(r) for r in u))
-    vv = IntMatrix(tuple(tuple(r) for r in v))
+    vv = IntMatrix(tuple(zip(*vt)))
     assert uu.mul(m).mul(vv).entries == d.entries
     return uu, d, vv
 

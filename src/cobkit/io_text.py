@@ -6,7 +6,9 @@ trailing newline) so that equal diagrams produce byte-identical text and
 golden files stay stable.  Integers beyond 64 bits are written as
 decimal strings; the parser accepts both forms.  The parser checks the
 JSON type of every node before use and raises only ``ParseError``, with
-a dotted location such as ``diagram.circles[2].events``.
+a dotted location such as ``diagram.circles[2].events``.  Readers pass
+locations down as nested ``(parent, key)`` pairs, and the text is built
+only when a ``ParseError`` is raised.
 """
 
 from __future__ import annotations
@@ -29,13 +31,29 @@ def _int_out(n: int):
     return str(n) if abs(n) > _INT64_MAX else n
 
 
+def _at(where):
+    """The dotted text of a location: a root name, or a ``(parent, key)``
+    pair that adds ``.key`` for a field and ``[key]`` for a list item."""
+    if isinstance(where, str):
+        return where
+    parent, key = where
+    if isinstance(key, int):
+        return f"{_at(parent)}[{key}]"
+    return f"{_at(parent)}.{key}"
+
+
+def _error(message, where):
+    at = _at(where)
+    return ParseError(f"{message} at {at}", at)
+
+
 def _int_in(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ParseError(f"expected an integer at {where}", where)
+        raise _error("expected an integer", where)
     try:
         return int(value)
     except ValueError:
-        raise ParseError(f"bad integer {value!r} at {where}", where) from None
+        raise _error(f"bad integer {value!r}", where) from None
 
 
 def _event_out(e):
@@ -48,7 +66,7 @@ def _reader(kind, name):
     """The type-checked reader of one JSON node kind."""
     def read(raw, where):
         if not isinstance(raw, kind):
-            raise ParseError(f"expected {name} at {where}", where)
+            raise _error(f"expected {name}", where)
         return raw
     return read
 
@@ -65,28 +83,28 @@ def _field(obj, key, read, where, default=MISSING):
         raw = obj[key]
     except KeyError:
         if default is MISSING:
-            raise ParseError(f"missing {key!r} at {where}", where) from None
+            raise _error(f"missing {key!r}", where) from None
         return default
-    return read(raw, f"{where}.{key}")
+    return read(raw, (where, key))
 
 
 def _items(obj, key, read, where, default=()):
     """The list ``obj[key]`` with every item checked by ``read`` at
     ``where.key[i]``, as a tuple."""
     raw = _field(obj, key, _list, where, default)
-    return tuple(read(item, f"{where}.{key}[{i}]")
-                 for i, item in enumerate(raw))
+    where = (where, key)
+    return tuple(read(item, (where, i)) for i, item in enumerate(raw))
 
 
 def _event_in(raw, where):
     if not isinstance(raw, list) or not raw:
-        raise ParseError(f"bad event at {where}", where)
+        raise _error("bad event", where)
     if (raw[0] == "x" and len(raw) == 3 and isinstance(raw[1], str)
             and raw[2] in ("over", "under")):
         return CrossingSlot(raw[1], raw[2])
     if raw[0] == "center" and len(raw) == 2 and raw[1] in ("depart", "return"):
         return CenterSlot(raw[1])
-    raise ParseError(f"bad event {raw!r} at {where}", where)
+    raise _error(f"bad event {raw!r}", where)
 
 
 def _circle_in(raw, where):
@@ -101,13 +119,13 @@ def _circle_in(raw, where):
         return Circle(cid, WEDGE, events,
                       wedge=_field(raw, "wedge", _string, where),
                       index=_field(raw, "index", _int_in, where, 0))
-    raise ParseError(f"unknown circle kind {kind!r} at {where}", where)
+    raise _error(f"unknown circle kind {kind!r}", where)
 
 
 def _strand_in(raw, where):
     if not (isinstance(raw, list) and len(raw) == 2
             and isinstance(raw[0], str)):
-        raise ParseError(f"expected [circle id, slot] at {where}", where)
+        raise _error("expected [circle id, slot]", where)
     return raw[0], _int_in(raw[1], where)
 
 

@@ -84,3 +84,28 @@ def test_fresh_id_matches_regex_scan(seed):
                 (seed, step, prefix)
     for prefix in PREFIXES:
         assert ed.fresh_id(prefix) == fresh_id_oracle(ed, prefix)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fresh_id_new_prefixes_after_edits(seed):
+    """Prefixes asked for the first time after the counts exist, as
+    ``mend`` asks for one per motif: any leading part of a live id, or a
+    never-seen motif prefix that then takes ids of its own, interleaved
+    with random adds and removes."""
+    rng = random.Random(seed)
+    serial = map(str, itertools.count(1))
+    ed = DiagramEditor(relabel(borromean(1, 0, -1), "x"))
+    ed.fresh_id("x")
+    for step in range(150):
+        _edit(rng, ed, serial)
+        live = sorted(itertools.chain(ed.circles, ed.signs, ed.wedges))
+        if rng.random() < 0.3 or not live:
+            prefix = f"m{next(serial)}s"
+        else:
+            i = rng.choice(live)
+            prefix = i[:rng.randrange(len(i) + 1)]
+        assert ed.fresh_id(prefix) == fresh_id_oracle(ed, prefix), \
+            (seed, step, prefix)
+        for _ in range(rng.randrange(3)):
+            ed.new_crossing(rng.choice([1, -1]), prefix=prefix)
+            assert ed.fresh_id(prefix) == fresh_id_oracle(ed, prefix)

@@ -1,5 +1,6 @@
 """Exact linear algebra: Smith normal form against an independent
-determinantal-divisor oracle, homology groups, signatures, profiles."""
+determinantal-divisor oracle and against the old fold-and-repeat
+elimination, homology groups, signatures, profiles."""
 
 import itertools
 import math
@@ -12,7 +13,7 @@ from cobkit import (AbelianGroup, IntMatrix, borromean, boundary_profile,
                     linking_matrix, mend, sigma_g_s1_link, signature,
                     smith_normal_form, tensor, unknot, wedge_row)
 from cobkit.errors import PreconditionError
-from conftest import det
+from conftest import det, smith_normal_form_oracle
 
 
 # -- independent oracle -------------------------------------------------------
@@ -163,6 +164,74 @@ def test_snf_oracle_randomized():
         for a, b in zip(nz, nz[1:]):
             assert b % a == 0
         assert diag == snf_diagonal_oracle(m), m.entries
+
+
+def _snf_case(rng, shape, n):
+    """One seeded matrix of the named shape, about n rows."""
+    if shape == "square":
+        return _random_matrix(rng, n, n)
+    if shape == "rect":
+        return _random_matrix(rng, n, n + n // 4)
+    if shape == "deficient":
+        # a quarter of the rows repeat others up to sign
+        keep = max(1, n - max(1, n // 4))
+        rows = list(_random_matrix(rng, keep, n).entries)
+        rows += [tuple(rng.choice((1, -1)) * x for x in rng.choice(rows))
+                 for _ in range(n - keep)]
+        rng.shuffle(rows)
+        return IntMatrix(tuple(rows))
+    if shape == "zero-lines":
+        m = _random_matrix(rng, n, rng.randint(1, n + 2))
+        dead_r = set(rng.sample(range(m.rows), rng.randint(0, m.rows)))
+        dead_c = set(rng.sample(range(m.cols), rng.randint(0, m.cols)))
+        return IntMatrix(tuple(
+            tuple(0 if i in dead_r or j in dead_c else x
+                  for j, x in enumerate(row))
+            for i, row in enumerate(m.entries)))
+    if shape == "row":
+        return _random_matrix(rng, 1, n, density=rng.choice([0.3, 1.0]))
+    if shape == "column":
+        return _random_matrix(rng, n, 1, density=rng.choice([0.3, 1.0]))
+    # "hidden-diagonal": small diagonal entries scrambled by unimodular
+    # row and column steps, so the divisibility fix-up has work to do
+    c = max(1, n + rng.randint(-1, 2))
+    a = [[rng.choice((0, 1, 2, 3, 4, 6, 9, 12)) if i == j else 0
+          for j in range(c)] for i in range(n)]
+    for _ in range(3 * n):
+        i, k = rng.randrange(n), rng.randrange(n)
+        if i != k:
+            q = rng.randint(-2, 2)
+            a[i] = [x + q * y for x, y in zip(a[i], a[k])]
+        j, l = rng.randrange(c), rng.randrange(c)
+        if j != l:
+            q = rng.randint(-2, 2)
+            for row in a:
+                row[j] += q * row[l]
+    return IntMatrix(tuple(map(tuple, a)))
+
+
+SNF_SHAPES = ("square", "rect", "deficient", "zero-lines", "row", "column",
+              "hidden-diagonal")
+
+
+def test_snf_matches_fold_and_repeat_oracle():
+    """500 seeded matrices up to n = 16: D equals the old elimination's
+    D, the transforms are exact and unimodular (Bareiss determinant)."""
+    rng = random.Random(9_000_017)
+    for k in range(500):
+        shape = SNF_SHAPES[k % len(SNF_SHAPES)]
+        m = _snf_case(rng, shape, rng.randint(1, 16))
+        u, d, v = smith_normal_form(m)
+        assert d.entries == smith_normal_form_oracle(m)[1].entries, \
+            (shape, m.entries)
+        assert u.mul(m).mul(v).entries == d.entries
+        assert abs(det(u)) == 1 and abs(det(v)) == 1, (shape, m.entries)
+
+
+def test_snf_dense_40_matches_oracle():
+    m = _random_matrix(random.Random(40), 40, 40)
+    assert (smith_normal_form(m)[1].entries
+            == smith_normal_form_oracle(m)[1].entries)
 
 
 def test_h1_closed_examples():
