@@ -7,27 +7,34 @@ system on *darts*:
 * an arc is a strand segment between two consecutive events of a circle
   (wedge circles have no arc across the center: their event lists run
   depart ... return, giving ``len(events) - 1`` arcs);
-* a dart is a directed arc end, ``(circle, arc_index, +1/-1)``;
+* a dart is a directed arc end: arc ``k`` (counting circle by circle)
+  owns dart ``2k`` (dir +1) and ``2k + 1`` (dir -1), so ``reverse`` is
+  ``d ^ 1``; its ``Dart`` view is ``(circle, arc_index, +1/-1)``;
 * the rotation at a crossing is forced by its sign:
   counterclockwise ``(under_in, over_out, under_out, over_in)`` for +1
   and ``(under_in, over_in, under_out, over_out)`` for -1;
 * the rotation at a wedge center is the fixed
   ``(out_1, in_1, ..., out_g, in_g)``.
 
-Faces are the orbits of ``dart -> rotation^{-1}(reverse(dart))``; each
+Faces are the orbits of ``next_in_face(d) = prev[d ^ 1]``, where
+``prev[d]`` is the dart before ``d`` in the rotation at its vertex; each
 face is the boundary walk with the face on the *left*.  A code is
 realizable in the sphere exactly when every connected component with at
 least one dart satisfies V - E + F = 2.
 
 Circles with no events at all (free loops) get a phantom base vertex so
 that they contribute one edge and two faces, like an embedded circle.
+``validate`` reads only the lists ``base`` and ``prev`` (Lando and Zvonkin,
+*Graphs on Surfaces*, 2004, 1.3); the ``Dart`` views are built on first use.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count
+from operator import attrgetter
 
 from .diagram import (CenterSlot, CrossingSlot, Diagram, OVER, UNDER,
                       INCOMING, OUTGOING, SURGERY, WEDGE)
@@ -61,48 +68,70 @@ def reverse(dart: Dart) -> Dart:
     return Dart(dart.circle, dart.arc, -dart.dir)
 
 
-def _event_vertex(d, circle, slot):
-    ev = circle.events[slot]
-    if isinstance(ev, CrossingSlot):
-        return ("x", ev.crossing)
-    return ("w", circle.wedge)
-
-
 class CombinatorialMap:
     """Rotation system of a diagram; built once, queried for faces."""
 
     def __init__(self, d: Diagram):
         self.diagram = d
-        self.rotations = {}   # vertex -> tuple of darts, counterclockwise
-        self.dart_base = {}   # dart -> vertex
-        self._build()
-
-    def _build(self):
-        d = self.diagram
-        # Tail/head vertices of every dart.
+        # Vertices in rotation order: free loops, crossings, wedges; a name
+        # only an event gives is a vertex with no rotation.
+        index, size = {}, 0
+        for tag, names in (("o", [c.id for c in d.circles if not c.events]),
+                           ("x", map(attrgetter("id"), d.crossings)),
+                           ("w", map(attrgetter("id"), d.wedges))):
+            index[tag] = table = defaultdict(
+                lambda: next(unnamed),
+                zip(dict.fromkeys(names), count(size)))
+            size += len(table)
+        self.rot = rot = [()] * size    # vertex -> its rotation
+        self._index, unnamed = index, count(size)
+        # Base vertex of every dart: the tail event of 2k, the head of 2k+1.
+        at_crossing, at_wedge = index["x"], index["w"]
+        self.base = base = []
+        spans = {}    # circle id -> (its first dart, its arc count)
         for c in d.circles:
-            n = len(c.events)
-            if n == 0:
-                v = ("o", c.id)
-                out, inn = Dart(c.id, 0, 1), Dart(c.id, 0, -1)
-                self.rotations[v] = (out, inn)
-                self.dart_base[out] = v
-                self.dart_base[inn] = v
+            events = c.events
+            spans[c.id] = (len(base), circle_arcs(c))
+            if not events:
+                v = index["o"][c.id]
+                rot[v] = (len(base), len(base) + 1)
+                base += (v, v)
                 continue
-            for a in range(circle_arcs(c)):
-                tail, head = arc_endpoints(d, c, a)
-                self.dart_base[Dart(c.id, a, 1)] = _event_vertex(d, c, tail)
-                self.dart_base[Dart(c.id, a, -1)] = _event_vertex(d, c, head)
+            vs = [at_crossing[e.crossing] if isinstance(e, CrossingSlot)
+                  else at_wedge[c.wedge] for e in events]
+            heads = vs[1:] if c.is_wedge() else vs[1:] + vs[:1]
+            base += chain.from_iterable(zip(vs, heads))
+
+        dangling = []    # a rotation's slots with no arc, as Darts
+
+        def dart(cid, arc, sign):
+            first, arcs = spans[cid]
+            if 0 <= arc < arcs:
+                return first + 2 * arc + (sign < 0)
+            dangling.append(Dart(cid, arc, sign))
+            return dangling[-1]
+
+        def incident(ref):
+            """(incoming dart, outgoing dart) of the strand at ``ref``."""
+            cid, slot = ref
+            events = d.circle(cid).events
+            if not 0 <= slot < len(events) or not isinstance(events[slot],
+                                                             CrossingSlot):
+                raise MalformedDiagramError(
+                    f"crossing reference ({cid}, {slot}) is not a crossing "
+                    "slot")
+            first, arcs = spans[cid]    # len(events) - 1 on a wedge circle
+            arc_in = slot - 1 if arcs < len(events) else (slot - 1) % arcs
+            if 0 <= arc_in and slot < arcs:
+                return first + 2 * arc_in + 1, first + 2 * slot
+            return dart(cid, arc_in, -1), dart(cid, slot, 1)
 
         # Crossing rotations, forced by sign.
         for x in d.crossings:
-            oin, oout = self._incident(x.over)
-            uin, uout = self._incident(x.under)
-            if x.sign == 1:
-                rot = (uin, oout, uout, oin)
-            else:
-                rot = (uin, oin, uout, oout)
-            self.rotations[("x", x.id)] = rot
+            oin, oout = incident(x.over)
+            uin, uout = incident(x.under)
+            rot[at_crossing[x.id]] = ((uin, oout, uout, oin) if x.sign == 1
+                                      else (uin, oin, uout, oout))
 
         # Wedge center rotations.  Incoming: (out_1, in_1, ..., out_g, in_g)
         # counterclockwise.  Outgoing: the circles come in reversed order,
@@ -111,44 +140,109 @@ class CombinatorialMap:
         # side is the trace of the orientation-reversing identification of
         # target surfaces; with both centers read identically, an identity
         # link of wedges would be forced onto a torus for genus >= 3.
-        for w in d.wedges:
-            pairs = []
-            for cid in w.circle_ids:
-                c = d.circle(cid)
-                pairs.append((Dart(cid, 0, 1),
-                              Dart(cid, circle_arcs(c) - 1, -1)))
+        for w in d.wedges:    # (d.circle raises on an unknown circle)
+            pairs = [(dart(cid, 0, 1), dart(cid, spans[cid][1] - 1, -1))
+                     for cid in w.circle_ids if d.circle(cid)]
             if w.color == OUTGOING:
                 pairs.reverse()
-            self.rotations[("w", w.id)] = tuple(x for p in pairs for x in p)
+            rot[at_wedge[w.id]] = tuple(x for p in pairs for x in p)
 
-        for v, rot in self.rotations.items():
-            for dart in rot:
-                if dart not in self.dart_base:
-                    raise MalformedDiagramError(f"dangling slot at {v}: {dart}")
-        for dart, v in self.dart_base.items():
-            if v not in self.rotations or dart not in self.rotations[v]:
-                raise MalformedDiagramError(
-                    f"dangling slot: dart {dart} points at {v}, which does "
-                    "not rotate through it")
+        for v, r in enumerate(rot if dangling else ()):
+            for x in r:
+                if isinstance(x, Dart):
+                    raise MalformedDiagramError(
+                        f"dangling slot at {self.keys[v]}: {x}")
 
-    def _incident(self, ref):
-        """(incoming dart, outgoing dart) of the strand visiting ``ref``."""
-        cid, slot = ref
-        c = self.diagram.circle(cid)
-        n = len(c.events)
-        if not 0 <= slot < n or not isinstance(c.events[slot], CrossingSlot):
+        # prev[d]: the dart before d's first place in its base's rotation.
+        prev = [-1] * len(base)
+        for v, r in enumerate(rot):
+            p = r[-1] if r else None
+            for x in r:
+                if prev[x] < 0 and base[x] == v:
+                    prev[x] = p
+                p = x
+        if -1 in prev:
+            i = prev.index(-1)
             raise MalformedDiagramError(
-                f"crossing reference ({cid}, {slot}) is not a crossing slot")
-        if c.is_wedge():
-            arc_in, arc_out = slot - 1, slot
-        else:
-            arc_in, arc_out = (slot - 1) % n, slot
-        return Dart(cid, arc_in, -1), Dart(cid, arc_out, 1)
+                f"dangling slot: dart {self._darts[i]} points at "
+                f"{self.keys[base[i]]}, which does not rotate through it")
+        self.prev = prev
 
-    def next_in_face(self, dart: Dart) -> Dart:
-        rev = reverse(dart)
-        rot = self.rotations[self.dart_base[rev]]
-        return rot[rot.index(rev) - 1]
+    def next_in_face(self, d: int) -> int:
+        return self.prev[d ^ 1]
+
+    @cached_property
+    def _walks(self):
+        """Face boundary walks over integer darts, in first-dart order."""
+        prev, out = self.prev, []
+        seen = bytearray(len(prev))
+        for d0 in range(len(prev)):
+            face, cur = [], d0
+            while not seen[cur]:
+                seen[cur] = 1
+                face.append(cur)
+                cur = prev[cur ^ 1]
+            if cur != d0:
+                raise MalformedDiagramError(
+                    "face tracing revisited a dart: "
+                    "rotation system is inconsistent")
+            if face:
+                out.append(face)
+        return out
+
+    @cached_property
+    def _component(self):
+        """Component of every rotating vertex, named by its least vertex."""
+        parent = list(range(len(self.rot)))
+        for a, b in zip(self.base[::2], self.base[1::2]):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            elif b < a:
+                parent[a] = b
+        for v, p in enumerate(parent):    # p <= v, so parent[p] is a root
+            parent[v] = parent[p]
+        return parent
+
+    def euler_by_component(self):
+        """[(vertices, edges, faces, characteristic)] per dart-ful component;
+        isolated vertices (genus-0 centers) are skipped."""
+        comp, base = self._component, self.base
+        stats = {}    # in a component with an arc, every vertex rotates
+        for v, c in enumerate(comp):
+            if self.rot[v]:
+                stats.setdefault(c, [0, 0, 0])[0] += 1
+        for b in base[::2]:
+            stats[comp[b]][1] += 1
+        for face in self._walks:
+            stats[comp[base[face[0]]]][2] += 1
+        return [(v, e, f, v - e + f) for v, e, f in stats.values()]
+
+    @cached_property
+    def keys(self):
+        """Vertex -> its name, ``("o" | "x" | "w", id)``."""
+        return {v: (tag, name) for tag, table in self._index.items()
+                for name, v in table.items()}
+
+    @cached_property
+    def _darts(self):
+        """Dart of every integer dart."""
+        return [Dart(c.id, a, s) for c in self.diagram.circles
+                for a in range(circle_arcs(c)) for s in (1, -1)]
+
+    @cached_property
+    def rotations(self):
+        """Vertex -> tuple of darts, counterclockwise."""
+        return {self.keys[v]: tuple(self._darts[x] for x in r)
+                for v, r in enumerate(self.rot)}
+
+    @cached_property
+    def dart_base(self):
+        """Dart -> vertex it leaves."""
+        return dict(zip(self._darts, map(self.keys.get, self.base)))
 
     def faces(self):
         """All face boundary walks, each a tuple of darts (face on the left).
@@ -159,75 +253,23 @@ class CombinatorialMap:
         return self._faces
 
     @cached_property
+    def _faces(self):
+        darts = self._darts
+        return tuple(tuple(darts[x] for x in face) for face in self._walks)
+
+    @cached_property
     def face_of(self):
         """Dart -> index of its face in :meth:`faces`, read off the same
         trace: a map traces its faces once."""
         return {dart: i for i, face in enumerate(self._faces)
                 for dart in face}
 
-    @cached_property
-    def _faces(self):
-        seen = set()
-        out = []
-        for c in self.diagram.circles:
-            for a in range(circle_arcs(c)):
-                for s in (1, -1):
-                    d0 = Dart(c.id, a, s)
-                    if d0 in seen:
-                        continue
-                    face = []
-                    cur = d0
-                    while True:
-                        face.append(cur)
-                        seen.add(cur)
-                        cur = self.next_in_face(cur)
-                        if cur == d0:
-                            break
-                        if cur in seen:
-                            raise MalformedDiagramError(
-                                "face tracing revisited a dart: "
-                                "rotation system is inconsistent")
-                    out.append(tuple(face))
-        return tuple(out)
-
     def components(self):
         """Vertex sets of the connected components of the map."""
-        parent = {v: v for v in self.rotations}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for dart, v in self.dart_base.items():
-            u = find(self.dart_base[reverse(dart)])
-            parent[find(v)] = u
         comps = {}
-        for v in self.rotations:
-            comps.setdefault(find(v), set()).add(v)
+        for v, c in enumerate(self._component):
+            comps.setdefault(c, set()).add(self.keys[v])
         return list(comps.values())
-
-    def euler_by_component(self):
-        """[(vertices, edges, faces, characteristic)] per dart-ful component;
-        isolated vertices (genus-0 centers) are skipped."""
-        faces = self.faces()
-        comps = self.components()
-        comp_of = {}
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = i
-        stats = {}
-        for i, comp in enumerate(comps):
-            if all(not self.rotations[v] for v in comp):
-                continue
-            stats[i] = [len(comp), 0, 0]
-        for dart, v in self.dart_base.items():
-            if dart.dir == 1:
-                stats[comp_of[v]][1] += 1
-        for face in faces:
-            stats[comp_of[self.dart_base[face[0]]]][2] += 1
-        return [(v, e, f, v - e + f) for v, e, f in stats.values()]
 
 
 def faces(d: Diagram):
@@ -238,9 +280,7 @@ def faces(d: Diagram):
 def euler_summary(d: Diagram):
     """(V, E, F) over the whole map, counting traced faces."""
     m = CombinatorialMap(d)
-    v = sum(1 for _ in m.rotations)
-    e = sum(1 for dart in m.dart_base if dart.dir == 1)
-    return v, e, len(m.faces())
+    return len(m.rot), len(m.base) // 2, len(m._walks)
 
 
 @dataclass(frozen=True)

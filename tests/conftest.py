@@ -6,17 +6,19 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
 from cobkit import (borromean, hopf, identity_diagram, mend,
                     overpass_circle, sigma_g_s1_link, stacked_rings, tensor,
                     thread_circle, trefoil, unknot, validate, wedge_row)
-from cobkit.diagram import (CenterSlot, CrossingSlot, Diagram, OVER, UNDER,
-                           crossings_along)
-from cobkit.errors import NotStandardPositionError
+from cobkit.diagram import (CenterSlot, CrossingSlot, Diagram, OUTGOING, OVER,
+                           UNDER, crossings_along)
+from cobkit.errors import MalformedDiagramError, NotStandardPositionError
 from cobkit.invariants import IntMatrix
 from cobkit.membranes import Excursion
+from cobkit.planarity import Dart, arc_endpoints, circle_arcs, reverse
 
 
 def _decorated_wedge(color, g, threads=0, overpasses=0):
@@ -561,3 +563,249 @@ def malformed_documents():
         ("events-int", edited(lambda b: b["circles"][0].update(events=4))),
         ("circle-without-id", edited(drop_circle_id)),
     ]]
+
+
+def _event_vertex_oracle(d, circle, slot):
+    ev = circle.events[slot]
+    if isinstance(ev, CrossingSlot):
+        return ("x", ev.crossing)
+    return ("w", circle.wedge)
+
+
+class _DartKeyedMap:
+    """The rotation system ``planarity.CombinatorialMap`` must agree with,
+    keyed by ``Dart`` namedtuples: dicts from vertex to rotation and from
+    dart to base, and ``rot.index`` once per step of face tracing."""
+
+    def __init__(self, d: Diagram):
+        self.diagram = d
+        self.rotations = {}   # vertex -> tuple of darts, counterclockwise
+        self.dart_base = {}   # dart -> vertex
+        self._build()
+
+    def _build(self):
+        d = self.diagram
+        # Tail/head vertices of every dart.
+        for c in d.circles:
+            n = len(c.events)
+            if n == 0:
+                v = ("o", c.id)
+                out, inn = Dart(c.id, 0, 1), Dart(c.id, 0, -1)
+                self.rotations[v] = (out, inn)
+                self.dart_base[out] = v
+                self.dart_base[inn] = v
+                continue
+            for a in range(circle_arcs(c)):
+                tail, head = arc_endpoints(d, c, a)
+                self.dart_base[Dart(c.id, a, 1)] = _event_vertex_oracle(
+                    d, c, tail)
+                self.dart_base[Dart(c.id, a, -1)] = _event_vertex_oracle(
+                    d, c, head)
+
+        # Crossing rotations, forced by sign.
+        for x in d.crossings:
+            oin, oout = self._incident(x.over)
+            uin, uout = self._incident(x.under)
+            if x.sign == 1:
+                rot = (uin, oout, uout, oin)
+            else:
+                rot = (uin, oin, uout, oout)
+            self.rotations[("x", x.id)] = rot
+
+        # Wedge center rotations; outgoing centers read the circles in
+        # reversed order.
+        for w in d.wedges:
+            pairs = []
+            for cid in w.circle_ids:
+                c = d.circle(cid)
+                pairs.append((Dart(cid, 0, 1),
+                              Dart(cid, circle_arcs(c) - 1, -1)))
+            if w.color == OUTGOING:
+                pairs.reverse()
+            self.rotations[("w", w.id)] = tuple(x for p in pairs for x in p)
+
+        for v, rot in self.rotations.items():
+            for dart in rot:
+                if dart not in self.dart_base:
+                    raise MalformedDiagramError(f"dangling slot at {v}: {dart}")
+        for dart, v in self.dart_base.items():
+            if v not in self.rotations or dart not in self.rotations[v]:
+                raise MalformedDiagramError(
+                    f"dangling slot: dart {dart} points at {v}, which does "
+                    "not rotate through it")
+
+    def _incident(self, ref):
+        """(incoming dart, outgoing dart) of the strand visiting ``ref``."""
+        cid, slot = ref
+        c = self.diagram.circle(cid)
+        n = len(c.events)
+        if not 0 <= slot < n or not isinstance(c.events[slot], CrossingSlot):
+            raise MalformedDiagramError(
+                f"crossing reference ({cid}, {slot}) is not a crossing slot")
+        if c.is_wedge():
+            arc_in, arc_out = slot - 1, slot
+        else:
+            arc_in, arc_out = (slot - 1) % n, slot
+        return Dart(cid, arc_in, -1), Dart(cid, arc_out, 1)
+
+    def next_in_face(self, dart):
+        rev = reverse(dart)
+        rot = self.rotations[self.dart_base[rev]]
+        return rot[rot.index(rev) - 1]
+
+    def faces(self):
+        return self._faces
+
+    @cached_property
+    def face_of(self):
+        return {dart: i for i, face in enumerate(self._faces)
+                for dart in face}
+
+    @cached_property
+    def _faces(self):
+        seen = set()
+        out = []
+        for c in self.diagram.circles:
+            for a in range(circle_arcs(c)):
+                for s in (1, -1):
+                    d0 = Dart(c.id, a, s)
+                    if d0 in seen:
+                        continue
+                    face = []
+                    cur = d0
+                    while True:
+                        face.append(cur)
+                        seen.add(cur)
+                        cur = self.next_in_face(cur)
+                        if cur == d0:
+                            break
+                        if cur in seen:
+                            raise MalformedDiagramError(
+                                "face tracing revisited a dart: "
+                                "rotation system is inconsistent")
+                    out.append(tuple(face))
+        return tuple(out)
+
+    def components(self):
+        parent = {v: v for v in self.rotations}
+
+        def find(v):
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        for dart, v in self.dart_base.items():
+            u = find(self.dart_base[reverse(dart)])
+            parent[find(v)] = u
+        comps = {}
+        for v in self.rotations:
+            comps.setdefault(find(v), set()).add(v)
+        return list(comps.values())
+
+    def euler_by_component(self):
+        faces = self.faces()
+        comps = self.components()
+        comp_of = {}
+        for i, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = i
+        stats = {}
+        for i, comp in enumerate(comps):
+            if all(not self.rotations[v] for v in comp):
+                continue
+            stats[i] = [len(comp), 0, 0]
+        for dart, v in self.dart_base.items():
+            if dart.dir == 1:
+                stats[comp_of[v]][1] += 1
+        for face in faces:
+            stats[comp_of[self.dart_base[face[0]]]][2] += 1
+        return [(v, e, f, v - e + f) for v, e, f in stats.values()]
+
+
+def combinatorial_map_oracle(d):
+    """The Dart-keyed rotation system ``CombinatorialMap(d)`` must agree
+    with on every query, errors included."""
+    return _DartKeyedMap(d)
+
+
+def validate_oracle(d):
+    """What ``validate(d)`` must report: the same structural checks, then
+    the Euler test on the Dart-keyed map."""
+    from cobkit.planarity import (ValidationReport, Violation,
+                                  _structural_violations)
+
+    bad = list(_structural_violations(d))
+    if not bad:
+        try:
+            for v, e, f, chi in combinatorial_map_oracle(
+                    d).euler_by_component():
+                if chi != 2:
+                    bad.append(Violation(
+                        "non-planar",
+                        f"component with V={v} E={e} F={f} has "
+                        f"characteristic {chi}, not 2"))
+        except MalformedDiagramError as exc:
+            bad.append(Violation("dangling-slot", str(exc)))
+    return ValidationReport(ok=not bad, violations=tuple(bad))
+
+
+def mutate(rng: random.Random, d):
+    """``d`` with one to three seeded flaws, made with
+    ``dataclasses.replace`` so that no editor repairs them: a crossing's
+    sign flipped, two events of a circle swapped, a strand slot out of
+    range, an event naming a missing crossing, a wedge's circles
+    reordered, or a strand moved to another slot of its circle or onto
+    the crossing's other strand."""
+    circles, crossings = list(d.circles), list(d.crossings)
+    wedges = list(d.wedges)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(6)
+        if kind == 0 and crossings:
+            i = rng.randrange(len(crossings))
+            crossings[i] = replace(crossings[i], sign=-crossings[i].sign)
+        elif kind == 1 and any(len(c.events) >= 2 for c in circles):
+            i = rng.choice([i for i, c in enumerate(circles)
+                            if len(c.events) >= 2])
+            events = list(circles[i].events)
+            a, b = rng.sample(range(len(events)), 2)
+            events[a], events[b] = events[b], events[a]
+            circles[i] = replace(circles[i], events=tuple(events))
+        elif kind == 2 and crossings:
+            i = rng.randrange(len(crossings))
+            role = rng.choice(("over", "under"))
+            cid, _ = getattr(crossings[i], role)
+            n = len(d.circle(cid).events)
+            crossings[i] = replace(
+                crossings[i], **{role: (cid, rng.choice((-1, n, n + 3)))})
+        elif kind == 3 and any(c.events for c in circles):
+            i = rng.choice([i for i, c in enumerate(circles) if c.events])
+            events = list(circles[i].events)
+            j = rng.randrange(len(events))
+            events[j] = CrossingSlot("ghost", rng.choice((OVER, UNDER)))
+            circles[i] = replace(circles[i], events=tuple(events))
+        elif kind == 4 and any(w.genus >= 2 for w in wedges):
+            i = rng.choice([i for i, w in enumerate(wedges)
+                            if w.genus >= 2])
+            ids = list(wedges[i].circle_ids)
+            while ids == list(wedges[i].circle_ids):
+                rng.shuffle(ids)
+            wedges[i] = replace(wedges[i], circle_ids=tuple(ids))
+        elif kind == 5 and crossings:
+            i = rng.randrange(len(crossings))
+            x = crossings[i]
+            cid, _ = x.over
+            slot = rng.randrange(len(d.circle(cid).events))
+            crossings[i] = replace(x, over=rng.choice(((cid, slot), x.under)))
+    return replace(d, circles=tuple(circles), crossings=tuple(crossings),
+                   wedges=tuple(wedges))
+
+
+def map_verdict(build, d):
+    """What a map class says about ``d``: ``("error", message)`` if
+    building it or tracing its faces raises ``MalformedDiagramError``,
+    else ``("faces", faces)``.  Any other exception propagates."""
+    try:
+        return ("faces", build(d).faces())
+    except MalformedDiagramError as exc:
+        return ("error", str(exc))
