@@ -11,9 +11,9 @@ A diagram is a purely combinatorial planar-diagram code:
   counterclockwise, so it is implied by the order of ``circle_ids``.
 
 Wedge circles store their center visit as two pseudo-events: the event
-list always starts with ``CenterSlot("depart")`` and ends with
-``CenterSlot("return")``.  This pins the cyclic rotation of wedge-circle
-event lists and makes serialization canonical.
+list always starts with ``DEPART`` (``CenterSlot("depart")``) and ends
+with ``RETURN`` (``CenterSlot("return")``).  This pins the cyclic
+rotation of wedge-circle event lists and makes serialization canonical.
 
 Crossing sign convention: +1 when the under strand crosses from right to
 left as seen along the over strand's direction of travel (right-handed).
@@ -53,6 +53,10 @@ class CenterSlot:
     its wedge center."""
 
     which: str
+
+
+DEPART = CenterSlot("depart")
+RETURN = CenterSlot("return")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from bisect import bisect_left, insort
 from dataclasses import replace
 from itertools import chain
 
-from .diagram import (CenterSlot, Circle, Crossing, CrossingSlot, Diagram,
-                      INCOMING, OVER, UNDER, SURGERY, WEDGE, Wedge)
+from .diagram import (DEPART, RETURN, Circle, Crossing, CrossingSlot,
+                      Diagram, INCOMING, OVER, UNDER, SURGERY, WEDGE, Wedge)
 from .errors import MalformedDiagramError
 
 
@@ -138,7 +138,7 @@ class DiagramEditor:
         self._take(self.wedges, wid, Wedge(wid, color, tuple(circle_ids)))
         for i, cid in enumerate(circle_ids, start=1):
             self._add_circle(cid, Circle(cid, WEDGE, wedge=wid, index=i),
-                             [CenterSlot("depart"), CenterSlot("return")])
+                             [DEPART, RETURN])
         self._boundary(color).append(wid)
         return wid
 

@@ -9,6 +9,14 @@ JSON type of every node before use and raises only ``ParseError``, with
 a dotted location such as ``diagram.circles[2].events``.  Readers pass
 locations down as nested ``(parent, key)`` pairs, and the text is built
 only when a ``ParseError`` is raised.
+
+Both documents are written by one small recursive writer, ``_write``,
+whose bytes equal ``json.dumps(doc, sort_keys=True, separators=(",",
+": "), indent=1)``.  ``json.dumps`` itself is not used for output: any
+``indent`` makes ``json`` fall back from its C encoder to the pure-Python
+one, which costs about twice the writer's time and leaves its nested
+closures behind as reference cycles on every call.  The output bytes
+are pinned by the golden files, so the writer may not differ by one.
 """
 
 from __future__ import annotations
@@ -16,15 +24,17 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import MISSING, fields
+from json.encoder import encode_basestring_ascii as _quote
 
-from .diagram import (CenterSlot, Circle, Crossing, CrossingSlot, Diagram,
-                      SURGERY, WEDGE, Wedge)
+from .diagram import (DEPART, RETURN, Circle, Crossing, CrossingSlot,
+                      Diagram, SURGERY, WEDGE, Wedge)
 from .errors import ParseError
 from .planarity import validate
 from . import moves as _moves
 
 FORMAT_VERSION = "1"
 _INT64_MAX = 2 ** 63 - 1
+_INF = float("inf")
 
 
 def _int_out(n: int):
@@ -103,7 +113,7 @@ def _event_in(raw, where):
             and raw[2] in ("over", "under")):
         return CrossingSlot(raw[1], raw[2])
     if raw[0] == "center" and len(raw) == 2 and raw[1] in ("depart", "return"):
-        return CenterSlot(raw[1])
+        return DEPART if raw[1] == "depart" else RETURN
     raise _error(f"bad event {raw!r}", where)
 
 
@@ -177,10 +187,68 @@ def diagram_to_document(d: Diagram, metadata=None) -> dict:
     return doc
 
 
+def _atom(value):
+    """JSON text of a scalar as ``json`` writes it, or None."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (_INF, -_INF):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _write(value, out, pad):
+    """Append the JSON text of ``value`` to ``out``, with sorted keys and
+    one space of indent per level; ``pad`` is the newline and indent of
+    the line ``value`` ends on.  Separators and indents go in as shared
+    strings rather than joined per item, so ``out`` holds no more string
+    objects than the stdlib encoder's chunk list."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, dict):
+        sep, inner = "{", pad + " "
+        for key, item in sorted(value.items()):
+            name = key if isinstance(key, str) else _atom(key)
+            if name is None:
+                raise TypeError("keys must be str, int, float, bool or "
+                                f"None, not {type(key).__name__}")
+            out += sep, inner, _quote(name), ": "
+            _write(item, out, inner)
+            sep = ","
+        out += (pad, "}") if value else ("{}",)
+    elif isinstance(value, (list, tuple)):
+        sep, inner = "[", pad + " "
+        for item in value:
+            out += sep, inner
+            _write(item, out, inner)
+            sep = ","
+        out += (pad, "]") if value else ("[]",)
+    else:
+        text = _atom(value)
+        if text is None:
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            "is not JSON serializable")
+        out.append(text)
+
+
+def _dumps(doc) -> str:
+    """Canonical text of a document, with one trailing newline."""
+    out = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
 def serialize(d: Diagram, metadata=None) -> str:
     """Canonical text for a valid diagram; deterministic across runs."""
-    return json.dumps(diagram_to_document(d, metadata), sort_keys=True,
-                      separators=(",", ": "), indent=1) + "\n"
+    return _dumps(diagram_to_document(d, metadata))
 
 
 def document_to_diagram(doc, where="document") -> Diagram:
@@ -284,10 +352,8 @@ def _decode_move(obj, where):
 
 
 def serialize_move_script(script) -> str:
-    doc = {"format_version": FORMAT_VERSION,
-           "moves": [_encode_move(m) for m in script]}
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "),
-                      indent=1) + "\n"
+    return _dumps({"format_version": FORMAT_VERSION,
+                   "moves": [_encode_move(m) for m in script]})
 
 
 def parse_move_script(text: str):

@@ -36,8 +36,8 @@ from functools import cached_property
 from itertools import chain, count
 from operator import attrgetter
 
-from .diagram import (CenterSlot, CrossingSlot, Diagram, OVER, UNDER,
-                      INCOMING, OUTGOING, SURGERY, WEDGE)
+from .diagram import (DEPART, RETURN, CenterSlot, CrossingSlot, Diagram,
+                      OVER, UNDER, INCOMING, OUTGOING, SURGERY, WEDGE)
 from .errors import MalformedDiagramError
 
 Dart = namedtuple("Dart", ["circle", "arc", "dir"])
@@ -330,9 +330,11 @@ def _structural_violations(d: Diagram):
         err("order-cover",
             "source_order + target_order must cover all wedges exactly once")
 
+    owned = set()    # (wedge id, circle id) per circle a wedge lists
     for w in d.wedges:
         if w.color not in (INCOMING, OUTGOING):
             err("bad-wedge", f"wedge {w.id}: unknown color {w.color!r}", w.id)
+        owned.update((w.id, cid) for cid in w.circle_ids)
         for i, cid in enumerate(w.circle_ids, start=1):
             c = d.circle_by_id.get(cid)
             if c is None:
@@ -342,11 +344,14 @@ def _structural_violations(d: Diagram):
                     f"wedge {w.id}: circle {cid} does not point back at index {i}",
                     w.id)
 
+    crossing_events = 0    # every event that is not a center slot
     for c in d.circles:
+        events = c.events
+        centers = list(map(type, events)).count(CenterSlot)
+        crossing_events += len(events) - centers
         if c.kind not in (SURGERY, WEDGE):
             err("bad-circle", f"circle {c.id}: unknown kind {c.kind!r}", c.id)
             continue
-        centers = [e for e in c.events if isinstance(e, CenterSlot)]
         if c.is_surgery():
             if centers:
                 err("bad-center-slots",
@@ -355,60 +360,78 @@ def _structural_violations(d: Diagram):
                 err("bad-framing", f"circle {c.id}: framing must be an integer",
                     c.id)
         else:
-            w = d.wedge_by_id.get(c.wedge or "")
-            if w is None or c.id not in w.circle_ids:
+            if (c.wedge or "", c.id) not in owned:
                 err("bad-wedge",
                     f"wedge circle {c.id} not owned by a wedge", c.id)
-            ok_shape = (len(c.events) >= 2
-                        and c.events[0] == CenterSlot("depart")
-                        and c.events[-1] == CenterSlot("return")
-                        and len(centers) == 2)
+            # A tuple compare tries identity first, so the shared DEPART
+            # and RETURN need no __eq__ call.
+            ok_shape = (len(events) >= 2 and centers == 2
+                        and (events[0], events[-1]) == (DEPART, RETURN))
             if not ok_shape:
                 err("bad-center-slots",
                     f"wedge circle {c.id} must run depart ... return", c.id)
 
-    # Crossing references <-> events must biject.
-    referenced = {}
+    # One sweep over the crossings: sign, both strand references and the
+    # wedge rule, each kind collected apart to keep the report's order.
+    refs, joins = [], []
+    circle_by_id = d.circle_by_id
     for x in d.crossings:
+        xid = x.id
         if x.sign not in (1, -1):
-            err("bad-sign", f"crossing {x.id}: sign must be +1 or -1", x.id)
+            refs.append(Violation(
+                "bad-sign", f"crossing {xid}: sign must be +1 or -1", xid))
         if x.over == x.under:
-            err("crossing-ref", f"crossing {x.id}: over equals under", x.id)
-        for role, (cid, slot) in ((OVER, x.over), (UNDER, x.under)):
-            c = d.circle_by_id.get(cid)
+            refs.append(Violation(
+                "crossing-ref", f"crossing {xid}: over equals under", xid))
+        (oid, oslot), (uid, uslot) = x.over, x.under
+        a, b = circle_by_id.get(oid), circle_by_id.get(uid)
+        for role, cid, slot, c in ((OVER, oid, oslot, a),
+                                   (UNDER, uid, uslot, b)):
             ev = None
             if c is not None and 0 <= slot < len(c.events):
                 ev = c.events[slot]
-            if not (isinstance(ev, CrossingSlot) and ev.crossing == x.id
+            if not (isinstance(ev, CrossingSlot) and ev.crossing == xid
                     and ev.role == role):
-                err("crossing-ref",
-                    f"crossing {x.id}: {role} reference ({cid}, {slot}) "
-                    "does not match an event", x.id)
-            referenced[(cid, slot)] = x.id
-    for c in d.circles:
-        for slot, ev in enumerate(c.events):
-            if isinstance(ev, CrossingSlot):
-                x = d.crossing_by_id.get(ev.crossing)
-                if x is None or x.strand(ev.role) != (c.id, slot):
-                    err("crossing-ref",
-                        f"event ({c.id}, {slot}) not claimed by crossing "
-                        f"{ev.crossing}", c.id)
-
-    # Circles of one wedge never cross each other.
-    for x in d.crossings:
-        a = d.circle_by_id.get(x.over[0])
-        b = d.circle_by_id.get(x.under[0])
+                refs.append(Violation(
+                    "crossing-ref",
+                    f"crossing {xid}: {role} reference ({cid}, {slot}) "
+                    "does not match an event", xid))
         if (a is not None and b is not None and a.is_wedge() and b.is_wedge()
                 and a.wedge == b.wedge):
-            err("wedge-self-crossing",
-                f"crossing {x.id} joins two circles of wedge {a.wedge}", x.id)
-    return bad
+            joins.append(Violation(
+                "wedge-self-crossing",
+                f"crossing {xid} joins two circles of wedge {a.wedge}", xid))
+    bad += refs
+
+    # Read every event back through its crossing only when the count
+    # shortcut in ``validate``'s docstring cannot vouch for them.
+    if refs or crossing_events != 2 * len(d.crossings):
+        for c in d.circles:
+            for slot, ev in enumerate(c.events):
+                if isinstance(ev, CrossingSlot):
+                    x = d.crossing_by_id.get(ev.crossing)
+                    if x is None or x.strand(ev.role) != (c.id, slot):
+                        err("crossing-ref",
+                            f"event ({c.id}, {slot}) not claimed by crossing "
+                            f"{ev.crossing}", c.id)
+    return bad + joins
 
 
 def validate(d: Diagram) -> ValidationReport:
     """Check every structural invariant plus sphere realizability.
 
     Never raises: all failures come back in the report.
+
+    Crossing references and crossing events must biject.  One sweep over
+    the crossings checks each reference (crossing, role) against the event
+    it names.  Crossing ids are unique by then, so two references that
+    pass name two distinct events: the passing references map one-to-one
+    into the crossing events.  When all 2·|crossings| of them pass and the
+    circles hold exactly that many events that are not center slots, the
+    map is onto, and reading every event back through its crossing would
+    find nothing.  That reverse scan runs only when a check failed or the
+    counts differ (an event of any other type only raises the count, so
+    it can force the scan but never skip it).
     """
     bad = list(_structural_violations(d))
     if not bad:

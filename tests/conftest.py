@@ -3,8 +3,10 @@ random diagram generator used by the property tests."""
 
 from __future__ import annotations
 
+import json
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from functools import cached_property
 
@@ -13,9 +15,11 @@ import pytest
 from cobkit import (borromean, hopf, identity_diagram, mend,
                     overpass_circle, sigma_g_s1_link, stacked_rings, tensor,
                     thread_circle, trefoil, unknot, validate, wedge_row)
-from cobkit.diagram import (CenterSlot, CrossingSlot, Diagram, OUTGOING, OVER,
-                           UNDER, crossings_along)
+from cobkit.diagram import (DEPART, RETURN, CenterSlot, CrossingSlot,
+                            Diagram, INCOMING, OUTGOING, OVER, SURGERY, UNDER,
+                            WEDGE, crossings_along)
 from cobkit.errors import MalformedDiagramError, NotStandardPositionError
+from cobkit.io_text import FORMAT_VERSION, _encode_move, diagram_to_document
 from cobkit.invariants import IntMatrix
 from cobkit.membranes import Excursion
 from cobkit.planarity import Dart, arc_endpoints, circle_arcs, reverse
@@ -538,6 +542,24 @@ def is_standard_position_oracle(d):
     return True
 
 
+def dumps_oracle(doc):
+    """The canonical text of a document as ``json.dumps`` writes it: the
+    stdlib's pure-Python encoder, forced by ``indent``."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "),
+                      indent=1) + "\n"
+
+
+def serialize_oracle(d, metadata=None):
+    """What ``serialize(d, metadata)`` must return, byte for byte."""
+    return dumps_oracle(diagram_to_document(d, metadata))
+
+
+def serialize_move_script_oracle(script):
+    """What ``serialize_move_script(script)`` must return, byte for byte."""
+    return dumps_oracle({"format_version": FORMAT_VERSION,
+                         "moves": [_encode_move(m) for m in script]})
+
+
 def malformed_documents():
     """Diagram documents of the wrong shape, as ``pytest.param``s named
     by their flaw: deep nesting, and nodes missing or of the wrong JSON
@@ -729,13 +751,119 @@ def combinatorial_map_oracle(d):
     return _DartKeyedMap(d)
 
 
-def validate_oracle(d):
-    """What ``validate(d)`` must report: the same structural checks, then
-    the Euler test on the Dart-keyed map."""
-    from cobkit.planarity import (ValidationReport, Violation,
-                                  _structural_violations)
+def structural_violations_oracle(d):
+    """The structural checks ``validate`` must report, in its order: three
+    passes over the crossings, every event checked back through
+    ``Crossing.strand``."""
+    from cobkit.planarity import Violation
 
-    bad = list(_structural_violations(d))
+    bad = []
+
+    def err(code, message, location=""):
+        bad.append(Violation(code, message, location))
+
+    ids = [c.id for c in d.circles] + [x.id for x in d.crossings] + \
+          [w.id for w in d.wedges]
+    dupes = [i for i, n in Counter(ids).items() if n > 1]
+    for i in sorted(dupes):
+        err("duplicate-id", f"id {i!r} used more than once", i)
+    if dupes:
+        return bad
+
+    wedge_ids = {w.id for w in d.wedges}
+    for order, color in ((d.source_order, INCOMING), (d.target_order, OUTGOING)):
+        for wid in order:
+            if wid not in wedge_ids:
+                err("order-cover", f"order names unknown wedge {wid!r}", wid)
+            elif d.wedge(wid).color != color:
+                err("order-cover",
+                    f"wedge {wid!r} is {d.wedge(wid).color} but listed as {color}",
+                    wid)
+    listed = list(d.source_order) + list(d.target_order)
+    if sorted(listed) != sorted(wedge_ids):
+        err("order-cover",
+            "source_order + target_order must cover all wedges exactly once")
+
+    for w in d.wedges:
+        if w.color not in (INCOMING, OUTGOING):
+            err("bad-wedge", f"wedge {w.id}: unknown color {w.color!r}", w.id)
+        for i, cid in enumerate(w.circle_ids, start=1):
+            c = d.circle_by_id.get(cid)
+            if c is None:
+                err("bad-wedge", f"wedge {w.id}: missing circle {cid!r}", w.id)
+            elif not (c.is_wedge() and c.wedge == w.id and c.index == i):
+                err("bad-wedge",
+                    f"wedge {w.id}: circle {cid} does not point back at index {i}",
+                    w.id)
+
+    for c in d.circles:
+        if c.kind not in (SURGERY, WEDGE):
+            err("bad-circle", f"circle {c.id}: unknown kind {c.kind!r}", c.id)
+            continue
+        centers = [e for e in c.events if isinstance(e, CenterSlot)]
+        if c.is_surgery():
+            if centers:
+                err("bad-center-slots",
+                    f"surgery circle {c.id} has center slots", c.id)
+            if not isinstance(c.framing, int) or isinstance(c.framing, bool):
+                err("bad-framing", f"circle {c.id}: framing must be an integer",
+                    c.id)
+        else:
+            w = d.wedge_by_id.get(c.wedge or "")
+            if w is None or c.id not in w.circle_ids:
+                err("bad-wedge",
+                    f"wedge circle {c.id} not owned by a wedge", c.id)
+            ok_shape = (len(c.events) >= 2
+                        and c.events[0] == CenterSlot("depart")
+                        and c.events[-1] == CenterSlot("return")
+                        and len(centers) == 2)
+            if not ok_shape:
+                err("bad-center-slots",
+                    f"wedge circle {c.id} must run depart ... return", c.id)
+
+    # Crossing references <-> events must biject.
+    for x in d.crossings:
+        if x.sign not in (1, -1):
+            err("bad-sign", f"crossing {x.id}: sign must be +1 or -1", x.id)
+        if x.over == x.under:
+            err("crossing-ref", f"crossing {x.id}: over equals under", x.id)
+        for role, (cid, slot) in ((OVER, x.over), (UNDER, x.under)):
+            c = d.circle_by_id.get(cid)
+            ev = None
+            if c is not None and 0 <= slot < len(c.events):
+                ev = c.events[slot]
+            if not (isinstance(ev, CrossingSlot) and ev.crossing == x.id
+                    and ev.role == role):
+                err("crossing-ref",
+                    f"crossing {x.id}: {role} reference ({cid}, {slot}) "
+                    "does not match an event", x.id)
+    for c in d.circles:
+        for slot, ev in enumerate(c.events):
+            if isinstance(ev, CrossingSlot):
+                x = d.crossing_by_id.get(ev.crossing)
+                if x is None or x.strand(ev.role) != (c.id, slot):
+                    err("crossing-ref",
+                        f"event ({c.id}, {slot}) not claimed by crossing "
+                        f"{ev.crossing}", c.id)
+
+    # Circles of one wedge never cross each other.
+    for x in d.crossings:
+        a = d.circle_by_id.get(x.over[0])
+        b = d.circle_by_id.get(x.under[0])
+        if (a is not None and b is not None and a.is_wedge() and b.is_wedge()
+                and a.wedge == b.wedge):
+            err("wedge-self-crossing",
+                f"crossing {x.id} joins two circles of wedge {a.wedge}", x.id)
+    return bad
+
+
+def validate_oracle(d):
+    """What ``validate(d)`` must report: the structural checks of
+    ``structural_violations_oracle``, then the Euler test on the
+    Dart-keyed map."""
+    from cobkit.planarity import ValidationReport, Violation
+
+    bad = structural_violations_oracle(d)
     if not bad:
         try:
             for v, e, f, chi in combinatorial_map_oracle(
@@ -750,17 +878,31 @@ def validate_oracle(d):
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
+def _append_event(circle, event):
+    """``circle`` with ``event`` added after its last crossing slot, so no
+    strand reference shifts: at the end of a surgery circle, just before
+    the ``return`` of a wedge circle."""
+    events = circle.events
+    at = len(events) - (events[-1:] == (RETURN,))
+    return replace(circle, events=events[:at] + (event,) + events[at:])
+
+
 def mutate(rng: random.Random, d):
     """``d`` with one to three seeded flaws, made with
     ``dataclasses.replace`` so that no editor repairs them: a crossing's
     sign flipped, two events of a circle swapped, a strand slot out of
     range, an event naming a missing crossing, a wedge's circles
-    reordered, or a strand moved to another slot of its circle or onto
-    the crossing's other strand."""
+    reordered, a strand moved to another slot of its circle or onto the
+    crossing's other strand, a crossing event duplicated within or across
+    circles, a wedge circle missing its ``return``, a surgery circle
+    carrying a center slot, a duplicated id (a crossing listed twice, or
+    renamed to a circle's id), or a wedge dropping one of its circles.
+    The duplicated events and center slots shift no strand reference, so
+    only the event count can show them."""
     circles, crossings = list(d.circles), list(d.crossings)
     wedges = list(d.wedges)
     for _ in range(rng.randint(1, 3)):
-        kind = rng.randrange(6)
+        kind = rng.randrange(11)
         if kind == 0 and crossings:
             i = rng.randrange(len(crossings))
             crossings[i] = replace(crossings[i], sign=-crossings[i].sign)
@@ -797,6 +939,33 @@ def mutate(rng: random.Random, d):
             cid, _ = x.over
             slot = rng.randrange(len(d.circle(cid).events))
             crossings[i] = replace(x, over=rng.choice(((cid, slot), x.under)))
+        elif kind == 6 and any(c.crossing_events() for c in circles):
+            i = rng.choice([i for i, c in enumerate(circles)
+                            if c.crossing_events()])
+            _, event = rng.choice(circles[i].crossing_events())
+            j = rng.choice((i, rng.randrange(len(circles))))
+            circles[j] = _append_event(circles[j], event)
+        elif kind == 7 and any(c.events[-1:] == (RETURN,) for c in circles):
+            i = rng.choice([i for i, c in enumerate(circles)
+                            if c.events[-1:] == (RETURN,)])
+            circles[i] = replace(circles[i], events=circles[i].events[:-1])
+        elif kind == 8 and any(c.is_surgery() for c in circles):
+            i = rng.choice([i for i, c in enumerate(circles)
+                            if c.is_surgery()])
+            circles[i] = _append_event(circles[i],
+                                       rng.choice((DEPART, RETURN)))
+        elif kind == 9 and crossings:
+            i = rng.randrange(len(crossings))
+            if rng.random() < 0.5:
+                crossings.append(crossings[i])
+            else:
+                crossings[i] = replace(crossings[i],
+                                       id=rng.choice(circles).id)
+        elif kind == 10 and any(w.circle_ids for w in wedges):
+            i = rng.choice([i for i, w in enumerate(wedges) if w.circle_ids])
+            ids = list(wedges[i].circle_ids)
+            del ids[rng.randrange(len(ids))]
+            wedges[i] = replace(wedges[i], circle_ids=tuple(ids))
     return replace(d, circles=tuple(circles), crossings=tuple(crossings),
                    wedges=tuple(wedges))
 

@@ -1,17 +1,21 @@
 """Serialization round trips, golden files, error locations."""
 
+import gc
 import json
 import pathlib
+import random
 
 import pytest
 
 from cobkit import (BlowDown, BlowUp, HandleSlide, MoveScript, R1, R2, R3,
-                    Twist, borromean, hopf, identity_diagram, mend, parse,
-                    parse_move_script, serialize, serialize_move_script, sew,
-                    sigma_g_s1_link, tensor, thread_circle,
-                    trefoil, unknot, wedge_row)
+                    Twist, apply, borromean, hopf, identity_diagram, mend,
+                    parse, parse_move_script, search_equivalent, serialize,
+                    serialize_move_script, sew, sigma_g_s1_link, tensor,
+                    thread_circle, trefoil, unknot, wedge_row)
 from cobkit.errors import ParseError
-from conftest import malformed_documents
+from cobkit.moves import _HANDLERS
+from conftest import (builder_corpus, malformed_documents, move_walks,
+                      serialize_move_script_oracle, serialize_oracle)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -142,3 +146,75 @@ def test_malformed_document_raises_parse_error(text):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.location
+
+
+def test_serialize_matches_json_oracle():
+    diagrams = builder_corpus() + move_walks(random.Random(9091), 25, 6)
+    for g in (8, 32, 64):
+        diagrams += [sew(identity_diagram(g), "V", identity_diagram(g), "U"),
+                     mend(identity_diagram(g), "V", "U")]
+    diagrams += [unknot(2 ** 70), unknot(-2 ** 63), unknot(2 ** 63 - 1),
+                 hopf(-2 ** 90, 5)]
+    for d in diagrams:
+        assert serialize(d) == serialize_oracle(d)
+
+
+@pytest.mark.parametrize("metadata", [
+    {"nested": {"list": [1, [2, [3, []]], {}], "dict": {"b": {}, "a": []}}},
+    {"flags": [True, False, None], "none": None, "yes": True, "no": False},
+    {"floats": [0.0, -0.0, 1.5, 1e300, -2.5e-8, float("nan"),
+                float("inf"), float("-inf")]},
+    {"text": "caf\u00e9 \u2603 \U0001f600 \x00\x1f\t\n \"quoted\" \\ /",
+     "\u00fcnicode key": "", "": "empty key"},
+    {"big": [2 ** 64, -2 ** 80, 10 ** 30], "tuple": (1, ("a", ()))},
+    {2: "int keys sort as ints", 10: "after 2", -1.5: "float key"},
+    {True: "bool key", False: "false key"},
+    {None: "null key"},
+])
+def test_serialize_metadata_matches_json_oracle(metadata):
+    d = unknot(2 ** 70)
+    assert serialize(d, metadata) == serialize_oracle(d, metadata)
+
+
+def test_serialize_move_script_matches_json_oracle():
+    every_field = {
+        R1: R1(site=("k1", 0), sign=-1, crossing="r1"),
+        R2: R2(darts=(("k1", 0, 1), ("k2", 1, -1)), over=False,
+               crossings=("a", "b")),
+        R3: R3(site=("k1", 2, 1)),
+        BlowUp: BlowUp(-1, site=("k1", 3)),
+        BlowDown: BlowDown("e1"),
+        HandleSlide: HandleSlide("k1", "k2",
+                                 site=(("k1", 0, 1), ("k2", 1, 1))),
+        Twist: Twist(incoming="U", outgoing="V"),
+    }
+    assert set(every_field) == set(_HANDLERS)
+    scripts = [MoveScript(), MoveScript(tuple(every_field.values()))]
+    scripts += [MoveScript((m,)) for m in every_field.values()]
+    b, k = borromean(0, 0, 0), sigma_g_s1_link(1)
+    kinked = apply(apply(k, R1(site=("b", 0), sign=-1)), BlowUp(1))
+    for start, goal, budget in ((tensor(b, unknot(-1)), b, 120),
+                                (kinked, k, 400)):
+        script = search_equivalent(start, goal, budget=budget)
+        assert script is not None and len(script) >= 1
+        scripts.append(script)
+    for script in scripts:
+        assert serialize_move_script(script) == \
+            serialize_move_script_oracle(script)
+
+
+def test_serialize_leaves_no_cycles():
+    """The writer frees everything by reference counting: a call leaves
+    no garbage for the cyclic collector (the stdlib's pure-Python encoder
+    leaves its nested closures in cycles)."""
+    d = mend(identity_diagram(4), "V", "U")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        serialize(d)
+        serialize_move_script(MoveScript((BlowUp(1), R1(crossing="r1"))))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -194,6 +194,21 @@ def test_validate_reads_no_darts(monkeypatch):
     assert len(built) == 1
 
 
+def test_valid_diagram_skips_reverse_scan(monkeypatch):
+    """On a valid diagram the crossing references account for every
+    crossing event by count, so no event is read back through
+    ``Crossing.strand``."""
+    closed = mend(identity_diagram(16), "V", "U")
+    sewn = sew(identity_diagram(8), "V", identity_diagram(8), "U")
+
+    def no_strand(self, role):
+        raise AssertionError("validate read an event back")
+
+    monkeypatch.setattr(Crossing, "strand", no_strand)
+    assert validate(closed).ok
+    assert validate(sewn).ok
+
+
 def test_map_errors_match_oracle():
     """Each way a map build or face trace fails, with the oracle's
     message: a rotation naming a slot with no arc (a one-event wedge
