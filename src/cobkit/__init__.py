@@ -21,8 +21,8 @@ from .builders import (SigmaS1Link, borromean, empty_diagram, hopf,
                        stacked_rings, thread_circle, trefoil, unknot,
                        wedge_row)
 from .invariants import (AbelianGroup, IntMatrix, boundary_profile, cokernel,
-                         h1_closed, h1_cobordism, signature,
-                         smith_normal_form)
+                         h1_closed, h1_cobordism, invariant_factors,
+                         signature, smith_normal_form)
 from .moves import (BlowDown, BlowUp, HandleSlide, Move, MoveScript, R1, R2,
                     R3, Twist, apply, replay, search_equivalent)
 from .compose import (HandlebodyPattern, compose, inside_out,

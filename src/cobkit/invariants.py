@@ -1,14 +1,14 @@
 """Exact integer-linear-algebra invariants of diagrams.
 
-Everything here runs over arbitrary-precision integers (or rationals for
-the signature); entries can grow during elimination, so machine ints are
-never trusted.
+Everything here runs over arbitrary-precision Python ints, signature
+included (fraction-free elimination, every division exact); entries can
+grow during elimination, so machine ints are never trusted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .diagram import Diagram, _linking_from_counts, linking_matrix
 from .errors import PreconditionError
@@ -79,25 +79,28 @@ def _bezout(x, y):
     return x, s0, t0
 
 
-def smith_normal_form(m: IntMatrix):
-    """(U, D, V) with U m V = D, U and V unimodular, D diagonal with a
-    divisibility chain and nonnegative entries.
+def _diagonalize(a, u, vt):
+    """Bring the list-of-rows matrix ``a`` to Smith normal form in place
+    and return its rank.  Each row operation is also applied to the rows
+    of ``u`` and each column operation to the rows of ``vt`` (V kept
+    transposed), so identity transforms yield U and V, and width-0 rows
+    (``[]``) track nothing.
 
     One elimination, stage by stage on the block from (s, s):
 
     - The pivot is the smallest nonzero absolute value in the block, ties
-      by (row, col) index, found by one scan per stage and moved to
+      by (row, col) index, found by one C-level scan per row and moved to
       (s, s).  Elimination stops at the first zero block, since every
-      later block lies inside it; a zero m thus gives U = I and V = I.
+      later block lies inside it; a zero ``a`` is left untouched.
     - Column s is cleared by row operations with nearest-remainder
       quotients (each remainder at most half the pivot); they touch only
       columns >= s, since those to the left are already zero.  While a
       remainder is left, the smallest one becomes the pivot and the
       column is cleared again.
     - Once column s is clean, row s is cleared the same way by column
-      operations, which then change only row s of the block; V is kept
-      transposed so each one is a row update.  A remainder left in row s
-      becomes the pivot and the stage goes back to column s.
+      operations, which then change only row s of the block.  A
+      remainder left in row s becomes the pivot and the stage goes back
+      to column s.
     - After diagonalising, each pair i < j with d_i not dividing d_j is
       replaced by (gcd, lcm) through the unimodular 2 x 2 steps
       [[s, t], [-y/g, x/g]] on rows i, j of U and [[1, -t y/g],
@@ -106,15 +109,8 @@ def smith_normal_form(m: IntMatrix):
     Every pivot change at least halves the pivot, and remainders stay
     below the pivot, which curbs entry growth.  The rule is
     deterministic so the transforms are reproducible.
-
-    Every call checks ``U m V = D`` exactly.  :meth:`IntMatrix.mul` skips
-    zero entries, so the check costs O(R^2 + C^2 + R C) on a zero m
-    rather than a dense cubic product.
     """
-    a = [list(r) for r in m.entries]
-    R, C = m.rows, m.cols
-    u = [[int(i == j) for j in range(R)] for i in range(R)]
-    vt = [[int(i == j) for j in range(C)] for i in range(C)]   # V, transposed
+    R, C = len(a), len(vt)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -128,11 +124,19 @@ def smith_normal_form(m: IntMatrix):
 
     rank = 0
     for s in range(min(R, C)):
-        pivot = min(((abs(x), i, j) for i in range(s, R)
-                     for j, x in enumerate(a[i][s:], s) if x), default=None)
-        if pivot is None:
+        least = i = 0
+        for r in range(s, R):
+            block = a[r][s:]
+            if not any(block):
+                continue
+            x = min(filter(None, map(abs, block)))
+            if not least or x < least:
+                least, i = x, r
+                if x == 1:
+                    break
+        if not least:
             break   # zero block: every later block lies inside it
-        _, i, j = pivot
+        j = s + list(map(abs, a[i][s:])).index(least)
         if i != s:
             swap_rows(s, i)
         if j != s:
@@ -192,12 +196,81 @@ def smith_normal_form(m: IntMatrix):
             vt[i] = [b + c for b, c in zip(vi, vj)]
             vt[j] = [ti * b + tj * c for b, c in zip(vi, vj)]
             a[i][i], a[j][j] = g, x * yg
+    return rank
 
+
+def smith_normal_form(m: IntMatrix):
+    """(U, D, V) with U m V = D, U and V unimodular, D diagonal with a
+    divisibility chain and nonnegative entries, by :func:`_diagonalize`
+    on identity transforms.
+
+    Every call checks ``U m V = D`` exactly.  :meth:`IntMatrix.mul` skips
+    zero entries, so the check costs O(R^2 + C^2 + R C) on a zero m
+    rather than a dense cubic product.
+    """
+    a = [list(r) for r in m.entries]
+    R, C = m.rows, m.cols
+    u = [[int(i == j) for j in range(R)] for i in range(R)]
+    vt = [[int(i == j) for j in range(C)] for i in range(C)]
+    _diagonalize(a, u, vt)
     d = IntMatrix(tuple(tuple(row) for row in a))
     uu = IntMatrix(tuple(tuple(r) for r in u))
     vv = IntMatrix(tuple(zip(*vt)))
     assert uu.mul(m).mul(vv).entries == d.entries
     return uu, d, vv
+
+
+def _bareiss(a):
+    """(rank, last pivot) of the list-of-rows matrix ``a``, destroyed, by
+    fraction-free elimination: the k-th pivot is a nonzero k x k minor
+    and every division is exact, so the last one is a nonzero maximal
+    minor, equal to the determinant up to sign when ``a`` is square and
+    nonsingular."""
+    R = len(a)
+    rank, prev = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        k = next((i for i in range(rank, R) if a[i][c]), None)
+        if k is None:
+            continue
+        a[rank], a[k] = a[k], a[rank]
+        top = a[rank]
+        p, tail = top[c], top[c + 1:]
+        for row in a[rank + 1:]:
+            x = row[c]
+            row[c:] = [0] + [(p * y - x * z) // prev
+                             for y, z in zip(row[c + 1:], tail)]
+        rank, prev = rank + 1, p
+        if rank == R:
+            break
+    return rank, prev
+
+
+def invariant_factors(m: IntMatrix) -> list:
+    """The nonzero Smith diagonal d_1 | d_2 | ... | d_r of m, r its rank,
+    by :func:`_diagonalize` with width-0 transforms: no U, V or product
+    is formed.
+
+    Every call certifies the result against an independent Bareiss pass
+    (:func:`_bareiss`): r is the rank, d_1 is the gcd of the entries, the
+    factors form a positive divisibility chain, and their product (the
+    gcd of the r x r minors) divides the last Bareiss pivot, a nonzero
+    r x r minor, and equals it up to sign when m is square and
+    nonsingular.  A rank-0 result only needs every entry to be zero.
+    """
+    a = [list(r) for r in m.entries]
+    rank = _diagonalize(a, [[] for _ in a], [[] for _ in range(m.cols)])
+    factors = [a[i][i] for i in range(rank)]
+    if not rank:
+        assert not any(map(any, m.entries))
+        return factors
+    brank, minor = _bareiss([list(r) for r in m.entries])
+    product = math.prod(factors)
+    assert brank == rank and min(factors) > 0
+    assert factors[0] == math.gcd(*(x for r in m.entries for x in r))
+    assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
+    assert minor % product == 0
+    assert product == abs(minor) or rank < m.rows or rank < m.cols
+    return factors
 
 
 @dataclass(frozen=True)
@@ -226,13 +299,12 @@ class AbelianGroup:
 
 
 def cokernel(relations: IntMatrix, generators: int) -> AbelianGroup:
-    """Z^generators modulo the row space of ``relations``."""
-    if relations.rows == 0:
-        return AbelianGroup(rank=generators)
-    _, d, _ = smith_normal_form(relations)
-    diag = [x for x in d.diagonal() if x != 0]
-    return AbelianGroup(rank=generators - len(diag),
-                        torsion=tuple(x for x in diag if x >= 2))
+    """Z^generators modulo the row space of ``relations``, read off the
+    certified :func:`invariant_factors`: the free rank is the number of
+    generators minus the rank, the torsion the factors >= 2."""
+    factors = invariant_factors(relations)
+    return AbelianGroup(rank=generators - len(factors),
+                        torsion=tuple(x for x in factors if x >= 2))
 
 
 def h1_closed(d: Diagram) -> AbelianGroup:
@@ -253,8 +325,9 @@ def h1_cobordism(d: Diagram) -> AbelianGroup:
 
     The relation matrix is read from the one-sweep
     :attr:`Diagram.linking_counts` table in O(X + n N) for X crossings,
-    n surgery circles and N circles; its Smith normal form then carries
-    the exact ``U m V = D`` check of :func:`smith_normal_form`.
+    n surgery circles and N circles; :func:`cokernel` then reads its
+    certified invariant factors, so a zero matrix costs a scan, not an
+    elimination.
     """
     ids = [c.id for c in d.circles]
     counts = d.linking_counts
@@ -262,8 +335,6 @@ def h1_cobordism(d: Diagram) -> AbelianGroup:
                   else _linking_from_counts(counts, s.id, cid)
                   for cid in ids)
             for s in d.surgery_circles()]
-    if not rows:
-        return AbelianGroup(rank=len(ids))
     return cokernel(IntMatrix(tuple(rows)), len(ids))
 
 
@@ -273,35 +344,55 @@ def boundary_profile(d: Diagram):
             tuple(d.wedge(w).genus for w in d.target_order))
 
 
+def _signature(a) -> int:
+    """Signature of the symmetric list-of-rows int matrix ``a``,
+    destroyed, by fraction-free symmetric elimination.
+
+    ``a`` always holds D S, where S is the Schur complement of the block
+    eliminated so far and D that block's determinant (1 at the start), so
+    every entry is a minor of the input and stays an integer.
+
+    - A nonzero diagonal entry p = D s is a 1 x 1 pivot: it adds
+      sign(s) = sign(p) sign(D), the block grows to determinant p and
+      each entry becomes (p y - x z) / D, an exact division.
+    - With the diagonal zero, the first nonzero entry b = D s at (i, j)
+      gives the hyperbolic pivot [[0, s], [s, 0]], which adds 0; the
+      determinant becomes -b^2 / D and each entry becomes
+      (b (x_i z_j + x_j z_i) - b^2 y) / D^2, again exact.
+    - A zero remainder adds nothing.
+    """
+    sig, det = 0, 1
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is not None:
+            top = a.pop(k)
+            p = top.pop(k)
+            sig += 1 if (p > 0) == (det > 0) else -1
+            for row in a:
+                x = row.pop(k)
+                row[:] = [(p * y - x * z) // det for y, z in zip(row, top)]
+            det = p
+            continue
+        i = next((i for i, row in enumerate(a) if any(row)), None)
+        if i is None:
+            break   # zero remainder
+        j = next(j for j, x in enumerate(a[i]) if x)     # j > i
+        zj, zi = a.pop(j), a.pop(i)
+        b = zi[j]
+        for z in (zi, zj):
+            del z[j], z[i]
+        dd, bb = det * det, b * b
+        for row in a:
+            xj, xi = row.pop(j), row.pop(i)
+            row[:] = [(b * (xi * v + xj * w) - bb * y) // dd
+                      for y, v, w in zip(row, zj, zi)]
+        det = -bb // det
+    return sig
+
+
 def signature(d: Diagram) -> int:
     """Signature of the linking matrix of a wedge-free diagram, computed
-    exactly by symmetric (Schur complement) reduction over the rationals."""
+    exactly over the integers by :func:`_signature`."""
     if d.wedges:
         raise PreconditionError("signature needs a diagram with no wedges")
-    m = linking_matrix(d)
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    alive = list(range(m.rows))
-    sig = 0
-    while alive:
-        k = next((i for i in alive if a[i][i] != 0), None)
-        if k is not None:
-            sig += 1 if a[k][k] > 0 else -1
-            alive.remove(k)
-            pivot = a[k][k]
-            for i in alive:
-                for j in alive:
-                    a[i][j] -= a[i][k] * a[k][j] / pivot
-            continue
-        pair = next(((i, j) for i in alive for j in alive
-                     if i < j and a[i][j] != 0), None)
-        if pair is None:
-            break   # remaining block is zero: contributes nothing
-        i0, j0 = pair
-        b = a[i0][j0]
-        alive.remove(i0)
-        alive.remove(j0)
-        # hyperbolic block [[0, b], [b, 0]]: signature 0; fold it out
-        for i in alive:
-            for j in alive:
-                a[i][j] -= (a[i][i0] * a[j0][j] + a[i][j0] * a[i0][j]) / b
-    return sig
+    return _signature([list(r) for r in linking_matrix(d).entries])

@@ -8,6 +8,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from functools import cached_property
 
 import pytest
@@ -210,6 +211,75 @@ def smith_normal_form_oracle(m: IntMatrix):
     vv = IntMatrix(tuple(tuple(r) for r in v))
     assert uu.mul(m).mul(vv).entries == d.entries
     return uu, d, vv
+
+
+def signature_oracle(m: IntMatrix) -> int:
+    """Signature of a symmetric IntMatrix by symmetric (Schur complement)
+    reduction over the rationals: a nonzero diagonal entry is a 1 x 1
+    pivot counting its sign, and with the diagonal zero a nonzero entry
+    at (i, j) is a hyperbolic 2 x 2 pivot counting 0."""
+    a = [[Fraction(x) for x in row] for row in m.entries]
+    alive = list(range(m.rows))
+    sig = 0
+    while alive:
+        k = next((i for i in alive if a[i][i] != 0), None)
+        if k is not None:
+            sig += 1 if a[k][k] > 0 else -1
+            alive.remove(k)
+            pivot = a[k][k]
+            for i in alive:
+                for j in alive:
+                    a[i][j] -= a[i][k] * a[k][j] / pivot
+            continue
+        pair = next(((i, j) for i in alive for j in alive
+                     if i < j and a[i][j] != 0), None)
+        if pair is None:
+            break   # remaining block is zero: contributes nothing
+        i0, j0 = pair
+        b = a[i0][j0]
+        alive.remove(i0)
+        alive.remove(j0)
+        # hyperbolic block [[0, b], [b, 0]]: signature 0; fold it out
+        for i in alive:
+            for j in alive:
+                a[i][j] -= (a[i][i0] * a[j0][j] + a[i][j0] * a[i0][j]) / b
+    return sig
+
+
+def charpoly(m: IntMatrix):
+    """Coefficients of det(x I - m), leading first, by Berkowitz's
+    division-free algorithm: the trailing block grows one row and column
+    at a time, and each step multiplies the previous coefficients by a
+    Toeplitz matrix built from the new row, column and corner entry."""
+    a = m.entries
+    n = len(a)
+    poly = [1]
+    for k in range(n - 1, -1, -1):
+        size = n - k
+        row, rest = a[k][k + 1:], [r[k + 1:] for r in a[k + 1:]]
+        col = [1, -a[k][k]]
+        v = [r[k] for r in a[k + 1:]]
+        for _ in range(size - 1):
+            col.append(-sum(x * y for x, y in zip(row, v)))
+            v = [sum(x * y for x, y in zip(r, v)) for r in rest]
+        poly = [sum(col[i - j] * poly[j] for j in range(min(i, size - 1) + 1))
+                for i in range(size + 1)]
+    return poly
+
+
+def descartes_signature_oracle(m: IntMatrix) -> int:
+    """Signature of a symmetric IntMatrix from its characteristic
+    polynomial: every root is real, so Descartes' rule of signs counts
+    the positive roots of p(x) and of p(-x) exactly, with multiplicity."""
+    poly = charpoly(m)
+    n = len(poly) - 1
+
+    def changes(coeffs):
+        signs = [c > 0 for c in coeffs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return changes(poly) - changes([c * (-1) ** (n - i)
+                                    for i, c in enumerate(poly)])
 
 
 def fresh_id_oracle(ed, prefix):

@@ -1,6 +1,7 @@
 """Exact linear algebra: Smith normal form against an independent
 determinantal-divisor oracle and against the old fold-and-repeat
-elimination, homology groups, signatures, profiles."""
+elimination, the certified invariant factors, homology groups,
+signatures against two independent oracles, profiles."""
 
 import itertools
 import math
@@ -10,10 +11,12 @@ import pytest
 
 from cobkit import (AbelianGroup, IntMatrix, borromean, boundary_profile,
                     h1_closed, h1_cobordism, hopf, identity_diagram,
-                    linking_matrix, mend, sigma_g_s1_link, signature,
-                    smith_normal_form, tensor, unknot, wedge_row)
+                    invariant_factors, linking_matrix, mend, sigma_g_s1_link,
+                    signature, smith_normal_form, tensor, unknot, wedge_row)
+from cobkit import invariants
 from cobkit.errors import PreconditionError
-from conftest import det, smith_normal_form_oracle
+from conftest import (descartes_signature_oracle, det, signature_oracle,
+                      smith_normal_form_oracle)
 
 
 # -- independent oracle -------------------------------------------------------
@@ -234,6 +237,74 @@ def test_snf_dense_40_matches_oracle():
             == smith_normal_form_oracle(m)[1].entries)
 
 
+def test_invariant_factors_match_snf_diagonal():
+    """500 seeded matrices up to n = 40, entries in [-4, 4]: the
+    certified factors are the nonzero diagonal of the transform SNF."""
+    rng = random.Random(10_000_019)
+    shapes = ("square", "rect", "deficient", "zero", "row", "column")
+    for k in range(500):
+        shape = shapes[k % len(shapes)]
+        n = rng.randint(1, rng.choice((12, 40)))
+        if shape == "zero":
+            m = IntMatrix.zero(n, rng.randint(1, 40))
+        else:
+            m = _snf_case(rng, shape, n)
+        diag = smith_normal_form(m)[1].diagonal()
+        assert invariant_factors(m) == [x for x in diag if x], \
+            (shape, m.entries)
+    assert invariant_factors(IntMatrix(())) == []
+
+
+def _corrupted(monkeypatch, corrupt):
+    """Make ``invariant_factors`` see a diagonal that ``corrupt`` edits
+    after the real elimination; ``corrupt(a, rank)`` returns the rank."""
+    real = invariants._diagonalize
+    monkeypatch.setattr(invariants, "_diagonalize",
+                        lambda a, u, vt: corrupt(a, real(a, u, vt)))
+
+
+def test_invariant_factors_certificate_rejects_wrong_diagonal(monkeypatch):
+    m = IntMatrix(((2, 0, 4), (0, 3, 3), (6, 3, 0)))     # det -90
+    assert invariant_factors(m) == [1, 3, 30]
+
+    def set_diagonal(*diag):
+        def corrupt(a, rank):
+            for i, x in enumerate(diag):
+                a[i][i] = x
+            return rank
+        return corrupt
+
+    wrong = {
+        "rank one short": lambda a, rank: rank - 1,
+        "rank zero": lambda a, rank: 0,
+        "d1 not the gcd": set_diagonal(3, 3, 10),
+        "negative factor": set_diagonal(1, -3, -30),
+        "broken chain": set_diagonal(1, 2, 45),
+        "product not dividing": set_diagonal(1, 3, 60),
+        "product a proper divisor": set_diagonal(1, 3, 15),
+    }
+    for name, corrupt in wrong.items():
+        with monkeypatch.context() as mp:
+            _corrupted(mp, corrupt)
+            with pytest.raises(AssertionError):
+                invariant_factors(m)
+                pytest.fail(name)
+    # rectangular: the product only has to divide the last pivot, 12
+    r = IntMatrix(((2, 4, 0), (0, 6, 6)))
+    assert invariant_factors(r) == [2, 6]
+    for diag in ((2, 12), (1, 6)):
+        with monkeypatch.context() as mp:
+            _corrupted(mp, set_diagonal(*diag))
+            with pytest.raises(AssertionError):
+                invariant_factors(r)
+    # a rank-deficient or zero m read one factor too far
+    for low in (IntMatrix(((1, 2), (2, 4))), IntMatrix.zero(2, 2)):
+        with monkeypatch.context() as mp:
+            _corrupted(mp, lambda a, rank: rank + 1)
+            with pytest.raises(AssertionError):
+                invariant_factors(low)
+
+
 def test_h1_closed_examples():
     assert h1_closed(borromean(0, 0, 0)) == AbelianGroup(rank=3)
     assert h1_closed(unknot(0)) == AbelianGroup(rank=1)
@@ -275,6 +346,103 @@ def test_signature_exactness_vs_eigen_free_cases():
     assert signature(hopf(2, 3)) == 2          # det 5 > 0, trace > 0
     assert signature(hopf(1, -3)) == 0         # det -4 < 0
     assert signature(borromean(1, 1, 1)) == 3
+
+
+def _symmetric_case(rng, kind, n):
+    """One seeded symmetric matrix of the named kind, n x n."""
+    a = [[0] * n for _ in range(n)]
+    if kind == "hyperbolic":
+        # hyperbolic blocks [[0, b], [b, 0]] and 1 x 1 blocks, glued by
+        # sparse off-block entries and shuffled, diagonal mostly zero
+        i = 0
+        while i < n:
+            if i + 1 < n and rng.random() < 0.7:
+                a[i][i + 1] = a[i + 1][i] = rng.choice((-3, -2, -1, 1, 2, 3))
+                i += 2
+            else:
+                a[i][i] = rng.choice((0, 0, -2, 1, 3))
+                i += 1
+        for _ in range(rng.randint(0, n)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                a[i][j] = a[j][i] = rng.randint(-2, 2)
+        order = list(range(n))
+        rng.shuffle(order)
+        return IntMatrix(tuple(tuple(a[i][j] for j in order) for i in order))
+    if kind == "low-rank":
+        # B^T diag(e) B with B of rank at most n // 2
+        k = rng.randint(0, n // 2)
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        e = [rng.choice((-1, 1, 2)) for _ in range(k)]
+        return IntMatrix(tuple(
+            tuple(sum(e[t] * b[t][i] * b[t][j] for t in range(k))
+                  for j in range(n)) for i in range(n)))
+    density = 0.3 if kind == "sparse" else 1.0
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and kind == "zero-diagonal":
+                continue
+            if rng.random() < density:
+                a[i][j] = a[j][i] = rng.randint(-4, 4)
+    return IntMatrix(tuple(map(tuple, a)))
+
+
+SYMMETRIC_KINDS = ("dense", "sparse", "zero-diagonal", "hyperbolic",
+                   "low-rank")
+
+
+def _symmetric_cases():
+    rng = random.Random(10_000_079)
+    for k in range(500):
+        kind = SYMMETRIC_KINDS[k % len(SYMMETRIC_KINDS)]
+        yield kind, _symmetric_case(rng, kind, rng.randint(0, 12))
+
+
+def test_signature_matches_oracles():
+    """500 seeded symmetric matrices up to n = 12: the integer elimination
+    equals the rational Schur-complement oracle, and for n <= 8 also
+    Descartes' rule on the Berkowitz characteristic polynomial."""
+    for kind, m in _symmetric_cases():
+        sig = invariants._signature([list(r) for r in m.entries])
+        assert sig == signature_oracle(m), (kind, m.entries)
+        if m.rows <= 8:
+            assert sig == descartes_signature_oracle(m), (kind, m.entries)
+    for kind in ("dense", "zero-diagonal"):
+        m = _symmetric_case(random.Random(40), kind, 40)
+        assert (invariants._signature([list(r) for r in m.entries])
+                == signature_oracle(m))
+
+
+class _ExactInt(int):
+    """An int whose floor divisions must leave no remainder; sums,
+    differences, products and negations stay _ExactInt."""
+
+    divisions = 0
+
+    def __floordiv__(self, other):
+        assert int(self) % int(other) == 0, (int(self), int(other))
+        _ExactInt.divisions += 1
+        return _ExactInt(int(self) // int(other))
+
+    def __rfloordiv__(self, other):
+        return _ExactInt(other).__floordiv__(self)
+
+
+for _op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+            "__rmul__", "__neg__"):
+    setattr(_ExactInt, _op, lambda self, *other, _f=getattr(int, _op):
+            _ExactInt(_f(self, *other)))
+
+
+def test_signature_elimination_divides_exactly():
+    """Every division in the signature elimination and in the Bareiss
+    certificate of invariant_factors leaves no remainder."""
+    _ExactInt.divisions = 0
+    for kind, m in _symmetric_cases():
+        rows = [[_ExactInt(x) for x in r] for r in m.entries]
+        assert invariants._signature(rows) == signature_oracle(m)
+        invariants._bareiss([[_ExactInt(x) for x in r] for r in m.entries])
+    assert _ExactInt.divisions > 10_000
 
 
 def test_invariants_at_genus_32():

@@ -1,13 +1,15 @@
 """Smith normal form as a ``hypothesis`` property on small integer
 matrices: the diagonal against the determinantal-divisor oracle, exact
-unimodular transforms, and ``cokernel`` read off the same diagonal."""
+unimodular transforms, ``cokernel`` read off the same diagonal, and the
+certified ``invariant_factors`` against the same oracle."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from cobkit import AbelianGroup, IntMatrix, cokernel, smith_normal_form
+from cobkit import (AbelianGroup, IntMatrix, cokernel, invariant_factors,
+                    smith_normal_form)
 from conftest import det
 from test_invariants import snf_diagonal_oracle
 
@@ -35,3 +37,9 @@ def test_snf_property(m):
     nonzero = [x for x in diag if x]
     assert cokernel(m, m.cols) == AbelianGroup(
         rank=m.cols - len(nonzero), torsion=tuple(x for x in nonzero if x > 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_invariant_factors_property(m):
+    assert invariant_factors(m) == [x for x in snf_diagonal_oracle(m) if x]
