@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .diagram import Diagram, _linking_from_counts, linking_matrix
+from .diagram import Diagram, _odd_at, linking_matrix
 from .errors import PreconditionError
 
 
@@ -323,19 +323,20 @@ def h1_cobordism(d: Diagram) -> AbelianGroup:
     removing a chosen neighbourhood frees its meridians); each surgery
     circle imposes the relation  f_i m_i + sum_j lk(i, j) m_j = 0.
 
-    The relation matrix is read from the one-sweep
-    :attr:`Diagram.linking_counts` table in O(X + n N) for X crossings,
-    n surgery circles and N circles; :func:`cokernel` then reads its
+    The relation matrix is the cached :attr:`Diagram.linking_rows` as
+    they are, built once per diagram in O(X + n N) for X crossings, n
+    surgery circles and N circles (the N term at C level) and shared with
+    :func:`linking_matrix` and so with :func:`h1_closed` and
+    :func:`signature`.  It raises ``MalformedDiagramError`` on any odd
+    pair of a surgery circle with another circle, wedge circles included,
+    the first in row-major order.  :func:`cokernel` then reads its
     certified invariant factors, so a zero matrix costs a scan, not an
     elimination.
     """
-    ids = [c.id for c in d.circles]
-    counts = d.linking_counts
-    rows = [tuple(s.framing if cid == s.id
-                  else _linking_from_counts(counts, s.id, cid)
-                  for cid in ids)
-            for s in d.surgery_circles()]
-    return cokernel(IntMatrix(tuple(rows)), len(ids))
+    rows, _, odd = d.linking_rows
+    if odd:
+        raise _odd_at(d, odd[0])
+    return cokernel(IntMatrix(rows), len(d.circles))
 
 
 def boundary_profile(d: Diagram):

@@ -6,9 +6,18 @@ trailing newline) so that equal diagrams produce byte-identical text and
 golden files stay stable.  Integers beyond 64 bits are written as
 decimal strings; the parser accepts both forms.  The parser checks the
 JSON type of every node before use and raises only ``ParseError``, with
-a dotted location such as ``diagram.circles[2].events``.  Readers pass
-locations down as nested ``(parent, key)`` pairs, and the text is built
-only when a ``ParseError`` is raised.
+a dotted location such as ``diagram.circles[2].events``.
+
+The diagram is read by one loop per node kind (circles with their
+events, crossings, wedges, and the two boundary orders).  Each loop
+checks the common JSON types inline and builds the values directly.  An
+item that fails the inline check goes to the located reader of its kind
+(``_circle_in``, ``_crossing_in``, ``_wedge_in``, ``_string``), which
+either accepts it (an integer written as a string, say) or raises the
+``ParseError`` for it; the inline check passes only items for which
+that reader returns the same value.  Located readers pass locations
+down as nested ``(parent, key)`` pairs, and the text is built only when
+a ``ParseError`` is raised.
 
 Both documents are written by one small recursive writer, ``_write``,
 whose bytes equal ``json.dumps(doc, sort_keys=True, separators=(",",
@@ -154,6 +163,97 @@ def _wedge_in(raw, where):
                  circle_ids=_items(raw, "circles", _string, where, MISSING))
 
 
+_DEPART_IN = ["center", "depart"]
+_RETURN_IN = ["center", "return"]
+
+
+def _events_in(raw):
+    """The events of the JSON list ``raw`` as a tuple, or None when an
+    item fails the inline check."""
+    slots = []
+    for e in raw:
+        if type(e) is not list:
+            return None
+        if (len(e) == 3 and e[0] == "x" and type(e[1]) is str
+                and type(e[2]) is str and (e[2] == "over" or e[2] == "under")):
+            slots.append(CrossingSlot(e[1], e[2]))
+        elif e == _DEPART_IN:
+            slots.append(DEPART)
+        elif e == _RETURN_IN:
+            slots.append(RETURN)
+        else:
+            return None
+    return tuple(slots)
+
+
+def _circles_in(raw, where):
+    """The circles with their events, one loop; a circle that fails the
+    inline check is read by :func:`_circle_in`."""
+    out = []
+    for i, c in enumerate(raw):
+        if type(c) is dict:
+            cid, events, kind = c.get("id"), c.get("events"), c.get("kind")
+            if type(cid) is str and type(events) is list:
+                events = _events_in(events)
+                if events is not None and kind == SURGERY:
+                    framing = c.get("framing", 0)
+                    if type(framing) is int:
+                        out.append(Circle(cid, SURGERY, events,
+                                          framing=framing))
+                        continue
+                elif events is not None and kind == WEDGE:
+                    wid, index = c.get("wedge"), c.get("index", 0)
+                    if type(wid) is str and type(index) is int:
+                        out.append(Circle(cid, WEDGE, events,
+                                          wedge=wid, index=index))
+                        continue
+        out.append(_circle_in(c, (where, i)))
+    return tuple(out)
+
+
+def _crossings_in(raw, where):
+    """The crossings, one loop; a crossing that fails the inline check is
+    read by :func:`_crossing_in`."""
+    out = []
+    for i, x in enumerate(raw):
+        if type(x) is dict:
+            xid, over, under, sign = (x.get("id"), x.get("over"),
+                                      x.get("under"), x.get("sign"))
+            if (type(xid) is str and type(sign) is int
+                    and type(over) is list and len(over) == 2
+                    and type(over[0]) is str and type(over[1]) is int
+                    and type(under) is list and len(under) == 2
+                    and type(under[0]) is str and type(under[1]) is int):
+                out.append(Crossing(xid, (over[0], over[1]),
+                                    (under[0], under[1]), sign))
+                continue
+        out.append(_crossing_in(x, (where, i)))
+    return tuple(out)
+
+
+def _wedges_in(raw, where):
+    """The wedges, one loop; a wedge that fails the inline check is read
+    by :func:`_wedge_in`."""
+    out = []
+    for i, w in enumerate(raw):
+        if type(w) is dict:
+            wid, color, cids = w.get("id"), w.get("color"), w.get("circles")
+            if (type(wid) is str and type(color) is str
+                    and type(cids) is list
+                    and all(type(c) is str for c in cids)):
+                out.append(Wedge(wid, color, tuple(cids)))
+                continue
+        out.append(_wedge_in(w, (where, i)))
+    return tuple(out)
+
+
+def _strings_in(raw, where):
+    """A list of ids, one loop; an item that is not a string is read by
+    :func:`_string`."""
+    return tuple(s if type(s) is str else _string(s, (where, i))
+                 for i, s in enumerate(raw))
+
+
 def diagram_to_document(d: Diagram, metadata=None) -> dict:
     doc = {
         "format_version": FORMAT_VERSION,
@@ -262,12 +362,15 @@ def document_to_diagram(doc, where="document") -> Diagram:
     body = doc.get("diagram")
     if not isinstance(body, dict):
         raise ParseError("missing diagram object", "diagram")
-    d = Diagram(
-        circles=_items(body, "circles", _circle_in, "diagram"),
-        crossings=_items(body, "crossings", _crossing_in, "diagram"),
-        wedges=_items(body, "wedges", _wedge_in, "diagram"),
-        source_order=_items(body, "source_order", _string, "diagram"),
-        target_order=_items(body, "target_order", _string, "diagram"))
+
+    def listed(key, read):
+        return read(_field(body, key, _list, "diagram", ()), ("diagram", key))
+
+    d = Diagram(circles=listed("circles", _circles_in),
+                crossings=listed("crossings", _crossings_in),
+                wedges=listed("wedges", _wedges_in),
+                source_order=listed("source_order", _strings_in),
+                target_order=listed("target_order", _strings_in))
     report = validate(d)
     if not report.ok:
         first = report.violations[0]
@@ -301,6 +404,9 @@ def _move_kind(cls):
     return re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
 
 
+_MOVE_CLASSES = {_move_kind(cls): cls for cls in _moves._HANDLERS}
+
+
 def _tuple_in(raw):
     if not isinstance(raw, list):
         raise TypeError("expected a list")
@@ -332,9 +438,11 @@ def _decode_move(obj, where):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"bad move at {where}", where)
     kind = obj["kind"]
-    cls = next((c for c in _moves._HANDLERS if _move_kind(c) == kind), None)
-    if cls is None:
-        raise ParseError(f"unknown move kind {kind!r} at {where}", where)
+    try:
+        cls = _MOVE_CLASSES[kind]
+    except (KeyError, TypeError):     # TypeError: an unhashable kind
+        raise ParseError(f"unknown move kind {kind!r} at {where}",
+                         where) from None
     args = {}
     for f in fields(cls):
         if f.name not in obj:

@@ -1048,3 +1048,284 @@ def map_verdict(build, d):
         return ("faces", build(d).faces())
     except MalformedDiagramError as exc:
         return ("error", str(exc))
+
+
+# -- the per-pair linking readers, kept as oracles ----------------------------
+
+def _linking_from_counts_oracle(counts, a, b):
+    """Linking number of two distinct circles, one table lookup per pair;
+    an odd count raises."""
+    total = counts.get((a, b) if a <= b else (b, a), 0)
+    if total % 2:
+        raise MalformedDiagramError(
+            f"odd signed crossing count between {a} and {b}")
+    return total // 2
+
+
+def linking_matrix_oracle(d):
+    """The linking matrix filled pair by pair in row-major order, raising
+    on the first odd surgery-surgery pair."""
+    surg = d.surgery_circles()
+    counts = d.linking_counts
+    return IntMatrix(tuple(
+        tuple(ci.framing if i == j
+              else _linking_from_counts_oracle(counts, ci.id, cj.id)
+              for j, cj in enumerate(surg))
+        for i, ci in enumerate(surg)))
+
+
+def h1_cobordism_oracle(d):
+    """H1 from relation rows filled pair by pair in row-major order,
+    raising on the first odd pair of a surgery circle with any circle."""
+    from cobkit import cokernel
+
+    ids = [c.id for c in d.circles]
+    counts = d.linking_counts
+    rows = [tuple(s.framing if cid == s.id
+                  else _linking_from_counts_oracle(counts, s.id, cid)
+                  for cid in ids)
+            for s in d.surgery_circles()]
+    return cokernel(IntMatrix(tuple(rows)), len(ids))
+
+
+def h1_closed_oracle(d):
+    from cobkit import cokernel
+    from cobkit.errors import PreconditionError
+
+    if d.wedges:
+        raise PreconditionError("h1_closed needs a diagram with no wedges")
+    m = linking_matrix_oracle(d)
+    return cokernel(m, m.cols)
+
+
+def signature_of_diagram_oracle(d):
+    from cobkit.errors import PreconditionError
+
+    if d.wedges:
+        raise PreconditionError("signature needs a diagram with no wedges")
+    return signature_oracle(linking_matrix_oracle(d))
+
+
+def outcome(f, *args):
+    """``("ok", value)``, or ``(exception type, message, location)`` for a
+    ``CobkitError``; any other exception propagates."""
+    from cobkit.errors import CobkitError
+
+    try:
+        return ("ok", f(*args))
+    except CobkitError as exc:
+        return (type(exc), str(exc), getattr(exc, "location", None))
+
+
+# -- the per-node parse reader, kept as an oracle -----------------------------
+
+def _at_oracle(where):
+    if isinstance(where, str):
+        return where
+    parent, key = where
+    if isinstance(key, int):
+        return f"{_at_oracle(parent)}[{key}]"
+    return f"{_at_oracle(parent)}.{key}"
+
+
+def _error_oracle(message, where):
+    from cobkit.errors import ParseError
+
+    at = _at_oracle(where)
+    return ParseError(f"{message} at {at}", at)
+
+
+def _int_oracle(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise _error_oracle("expected an integer", where)
+    try:
+        return int(value)
+    except ValueError:
+        raise _error_oracle(f"bad integer {value!r}", where) from None
+
+
+def _typed_oracle(kind, name):
+    def read(raw, where):
+        if not isinstance(raw, kind):
+            raise _error_oracle(f"expected {name}", where)
+        return raw
+    return read
+
+
+_object_oracle = _typed_oracle(dict, "an object")
+_list_oracle = _typed_oracle(list, "a list")
+_string_oracle = _typed_oracle(str, "a string")
+_NO_DEFAULT = object()
+
+
+def _field_oracle(obj, key, read, where, default=_NO_DEFAULT):
+    try:
+        raw = obj[key]
+    except KeyError:
+        if default is _NO_DEFAULT:
+            raise _error_oracle(f"missing {key!r}", where) from None
+        return default
+    return read(raw, (where, key))
+
+
+def _items_oracle(obj, key, read, where, default=()):
+    raw = _field_oracle(obj, key, _list_oracle, where, default)
+    where = (where, key)
+    return tuple(read(item, (where, i)) for i, item in enumerate(raw))
+
+
+def _event_oracle(raw, where):
+    if not isinstance(raw, list) or not raw:
+        raise _error_oracle("bad event", where)
+    if (raw[0] == "x" and len(raw) == 3 and isinstance(raw[1], str)
+            and raw[2] in ("over", "under")):
+        return CrossingSlot(raw[1], raw[2])
+    if raw[0] == "center" and len(raw) == 2 and raw[1] in ("depart", "return"):
+        return DEPART if raw[1] == "depart" else RETURN
+    raise _error_oracle(f"bad event {raw!r}", where)
+
+
+def _circle_oracle(raw, where):
+    from cobkit import Circle
+
+    raw = _object_oracle(raw, where)
+    cid = _field_oracle(raw, "id", _string_oracle, where)
+    events = _items_oracle(raw, "events", _event_oracle, where)
+    kind = raw.get("kind")
+    if kind == SURGERY:
+        return Circle(cid, SURGERY, events,
+                      framing=_field_oracle(raw, "framing", _int_oracle,
+                                            where, 0))
+    if kind == WEDGE:
+        return Circle(cid, WEDGE, events,
+                      wedge=_field_oracle(raw, "wedge", _string_oracle, where),
+                      index=_field_oracle(raw, "index", _int_oracle, where, 0))
+    raise _error_oracle(f"unknown circle kind {kind!r}", where)
+
+
+def _strand_oracle(raw, where):
+    if not (isinstance(raw, list) and len(raw) == 2
+            and isinstance(raw[0], str)):
+        raise _error_oracle("expected [circle id, slot]", where)
+    return raw[0], _int_oracle(raw[1], where)
+
+
+def _crossing_oracle(raw, where):
+    from cobkit import Crossing
+
+    raw = _object_oracle(raw, where)
+    return Crossing(id=_field_oracle(raw, "id", _string_oracle, where),
+                    over=_field_oracle(raw, "over", _strand_oracle, where),
+                    under=_field_oracle(raw, "under", _strand_oracle, where),
+                    sign=_field_oracle(raw, "sign", _int_oracle, where))
+
+
+def _wedge_oracle(raw, where):
+    from cobkit import Wedge
+
+    raw = _object_oracle(raw, where)
+    return Wedge(id=_field_oracle(raw, "id", _string_oracle, where),
+                 color=_field_oracle(raw, "color", _string_oracle, where),
+                 circle_ids=_items_oracle(raw, "circles", _string_oracle,
+                                          where, _NO_DEFAULT))
+
+
+def parse_oracle(text):
+    """``parse`` as the per-node reader did it: one type-checked call per
+    JSON node, then ``validate``."""
+    from cobkit import Diagram
+    from cobkit.errors import ParseError
+    from cobkit.io_text import _load_json
+
+    doc = _load_json(text)
+    if not isinstance(doc, dict):
+        raise ParseError("document must be an object", "document")
+    version = doc.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ParseError(
+            f"unsupported format_version {version!r} (expected "
+            f"{FORMAT_VERSION!r})", "format_version")
+    body = doc.get("diagram")
+    if not isinstance(body, dict):
+        raise ParseError("missing diagram object", "diagram")
+    d = Diagram(
+        circles=_items_oracle(body, "circles", _circle_oracle, "diagram"),
+        crossings=_items_oracle(body, "crossings", _crossing_oracle,
+                                "diagram"),
+        wedges=_items_oracle(body, "wedges", _wedge_oracle, "diagram"),
+        source_order=_items_oracle(body, "source_order", _string_oracle,
+                                   "diagram"),
+        target_order=_items_oracle(body, "target_order", _string_oracle,
+                                   "diagram"))
+    report = validate(d)
+    if not report.ok:
+        first = report.violations[0]
+        raise ParseError(
+            f"diagram fails validation: {first.code}: {first.message}",
+            first.location or "diagram")
+    return d
+
+
+def mutate_document(rng: random.Random, doc):
+    """A copy of the JSON document ``doc`` with one to three seeded edits,
+    each at a random node: a value of the wrong JSON type, a missing or
+    an extra key, a string-valued integer (``" 7"``, ``"1_0"``, ...), a
+    bool, a big int, an empty list, or an unknown circle kind, event
+    role or event kind."""
+    doc = json.loads(json.dumps(doc))
+    odd_values = [None, True, False, 0, -1, 7, 2 ** 70, -2 ** 65, 1.5,
+                  "", "x", "7", " 7", "1_0", "-3", "0x1", "seven", [],
+                  [1, 2], ["x"], {}, {"id": "k1"}]
+    for _ in range(rng.randint(1, 3)):
+        nodes = []
+
+        def walk(node):
+            if isinstance(node, dict):
+                nodes.append(node)
+                for v in node.values():
+                    walk(v)
+            elif isinstance(node, list):
+                nodes.append(node)
+                for v in node:
+                    walk(v)
+
+        walk(doc)
+        node = rng.choice(nodes)
+        if isinstance(node, dict):
+            keys = sorted(node)
+            op = rng.randrange(5)
+            if op == 0 and keys:
+                del node[rng.choice(keys)]
+            elif op == 1:
+                node[rng.choice(["extra", "kind", "framing", "index",
+                                 "wedge", "events"])] = rng.choice(odd_values)
+            elif op == 2 and "kind" in node:
+                node["kind"] = rng.choice(["handle", "Surgery", "wedge",
+                                           "surgery", 3])
+            elif keys:
+                key = rng.choice(keys)
+                value = node[key]
+                if isinstance(value, int) and not isinstance(value, bool):
+                    node[key] = rng.choice([str(value), f" {value}",
+                                            f"{value}_0", bool(value),
+                                            value + 2 ** 64, float(value)])
+                else:
+                    node[key] = rng.choice(odd_values)
+        elif node:
+            i = rng.randrange(len(node))
+            value = node[i]
+            op = rng.randrange(4)
+            if op == 0:
+                del node[i]
+            elif op == 1 and isinstance(value, str):
+                node[i] = rng.choice(["under", "over", "center", "x",
+                                      "depart", "return", "sideways",
+                                      value + "'"])
+            elif isinstance(value, int) and not isinstance(value, bool):
+                node[i] = rng.choice([str(value), f" {value}", f"{value}_0",
+                                      True, value + 2 ** 64, [value]])
+            else:
+                node[i] = rng.choice(odd_values)
+        else:
+            node.append(rng.choice(odd_values))
+    return doc

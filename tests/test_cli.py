@@ -1,12 +1,15 @@
 """The command line interface, exercised through its main() entry."""
 
 import json
+import pathlib
 
 import pytest
 
 from cobkit import builders, parse, serialize, unknot, borromean
 from cobkit.cli import main
 from conftest import malformed_documents
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv, stdin=None, monkeypatch=None):
@@ -42,6 +45,22 @@ def test_mend_pipeline_matches_acceptance_example(capsys, monkeypatch, tmp_path)
                        monkeypatch=monkeypatch)
     assert code == 0
     assert "H1 = Z^5" in out
+
+
+@pytest.mark.parametrize("stages,golden", [
+    ([["build", "hopf", "2", "3"]], "invariants_hopf_2_3.txt"),
+    ([["build", "identity", "4"],
+      ["mend", "-", "--out-wedge", "V", "--in-wedge", "U"]],
+     "invariants_mend_identity_4.txt"),
+])
+def test_invariants_output_matches_golden(capsys, monkeypatch, stages,
+                                          golden):
+    text = None
+    for argv in stages + [["invariants", "-"]]:
+        code, text, _ = run(capsys, *argv, stdin=text,
+                            monkeypatch=monkeypatch)
+        assert code == 0
+    assert text == (GOLDEN / golden).read_text()
 
 
 def test_validate_ok_and_corrupted(capsys, tmp_path, monkeypatch):

@@ -4,10 +4,10 @@ import pytest
 
 from cobkit import (CompositionError, borromean, boundary_profile, compose,
                     h1_closed, h1_cobordism, identity_diagram, inside_out,
-                    linking_matrix, linking_number, make_identity_link, mend,
-                    overpass_circle, permute, sew, sigma_g_s1_link,
-                    structural_iso, tensor, thread_circle, unknot, validate,
-                    wedge_row)
+                    is_standard_position, linking_matrix, linking_number,
+                    make_identity_link, mend, overpass_circle, permute, sew,
+                    sigma_g_s1_link, structural_iso, tensor, thread_circle,
+                    unknot, validate, wedge_row)
 from cobkit.compose import delete_wedge
 from cobkit.diagram import INCOMING, OVER, UNDER, CrossingSlot
 from cobkit.editing import DiagramEditor, clasp_events
@@ -356,3 +356,20 @@ def test_compose_multi_pair_clean_and_order_independent():
 def test_compose_empty_pairing_rejected():
     with pytest.raises(CompositionError):
         compose(identity_diagram(1), identity_diagram(1), [])
+
+
+@pytest.mark.xfail(strict=True, raises=CompositionError,
+                   reason="open defect: sew lays a nested pair of threads "
+                          "in the wrong cable order, so the second sew "
+                          "reads the result as non-planar")
+def test_resew_two_threads_and_an_overpass_on_one_wedge_circle():
+    d = wedge_row([("outgoing", 1)])
+    d = thread_circle(d, "w1c1", "s1")
+    d = thread_circle(d, "w1c1", "s2")
+    d = overpass_circle(d, "w1c1", "s3")
+    once = sew(d, "w1", identity_diagram(1), "U")
+    assert validate(once).ok and is_standard_position(once)
+    twice = sew(once, once.target_order[0], identity_diagram(1), "U")
+    assert validate(twice).ok
+    assert h1_cobordism(twice) == h1_cobordism(d)
+    assert boundary_profile(twice) == boundary_profile(d)

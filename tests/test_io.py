@@ -141,6 +141,16 @@ def test_bad_move_reports_its_location(move):
     assert err.value.location == "moves[1]"
 
 
+@pytest.mark.parametrize("kind", [["r1"], {"r1": 1}, "R1", "blowup", 1,
+                                  None])
+def test_unknown_move_kind_message(kind):
+    text = json.dumps({"format_version": "1", "moves": [{"kind": kind}]})
+    with pytest.raises(ParseError) as err:
+        parse_move_script(text)
+    assert str(err.value) == f"unknown move kind {kind!r} at moves[0]"
+    assert err.value.location == "moves[0]"
+
+
 @pytest.mark.parametrize("text", malformed_documents())
 def test_malformed_document_raises_parse_error(text):
     with pytest.raises(ParseError) as err:

@@ -1,17 +1,23 @@
 """The one-sweep linking table and ``crossings_between`` against a raw
-per-pair crossing rescan."""
+per-pair crossing rescan, and the cached relation rows against the
+per-pair readers they replaced."""
 
 import random
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
-from cobkit import (AbelianGroup, IntMatrix, cokernel, h1_cobordism, hopf,
-                    linking_matrix, linking_number, sigma_g_s1_link, trefoil,
-                    writhe)
+from cobkit import (AbelianGroup, Diagram, IntMatrix, boundary_profile,
+                    cokernel, h1_closed, h1_cobordism, hopf,
+                    identity_diagram, linking_matrix, linking_number, mend,
+                    parse, serialize, sew, sigma_g_s1_link, signature, tensor,
+                    trefoil, writhe)
 from cobkit.diagram import crossings_between
 from cobkit.errors import MalformedDiagramError
-from conftest import _decorated_wedge, builder_corpus, move_walks
+from conftest import (_decorated_wedge, builder_corpus, h1_closed_oracle,
+                      h1_cobordism_oracle, linking_matrix_oracle, move_walks,
+                      outcome, signature_of_diagram_oracle)
 
 
 # -- oracle: rescan every crossing for every pair ------------------------------
@@ -108,3 +114,90 @@ def test_odd_surgery_wedge_count_rejected_by_h1():
     assert linking_matrix(odd).entries == ((0,),)
     with pytest.raises(MalformedDiagramError):
         h1_cobordism(odd)
+
+
+# -- the cached relation rows against the per-pair readers ---------------------
+
+READERS = ((linking_matrix, linking_matrix_oracle),
+           (h1_cobordism, h1_cobordism_oracle),
+           (h1_closed, h1_closed_oracle),
+           (signature, signature_of_diagram_oracle))
+
+
+def _assert_readers_match_oracles(d):
+    for reader, oracle in READERS:
+        # A fresh copy for each side, so neither reads the other's cache.
+        assert outcome(reader, replace(d)) == outcome(oracle, replace(d))
+
+
+def _large_diagrams():
+    for g in (8, 32):
+        yield sew(identity_diagram(g), "V", identity_diagram(g), "U")
+        yield mend(identity_diagram(g), "V", "U")
+        yield tensor(identity_diagram(g), sigma_g_s1_link(g))
+
+
+def test_readers_match_per_pair_oracles():
+    diagrams = (builder_corpus() + move_walks(random.Random(2718), 25, 6)
+                + list(_large_diagrams()))
+    for d in diagrams:
+        _assert_readers_match_oracles(d)
+
+
+def _kinds(d, a, b):
+    return tuple(sorted(d.circle(c).kind for c in (a, b)))
+
+
+def test_odd_counts_match_per_pair_oracles():
+    """Drop one or two crossings from each diagram, so that one or two
+    pairs have an odd count: every reader raises the oracle's error on
+    the same first pair, or returns the oracle's value."""
+    seen = set()
+    for d in builder_corpus() + [hopf(2, 3), tensor(hopf(0, 1), hopf(1, 0))]:
+        xs = d.crossings
+        drops = [(i,) for i in range(len(xs))]
+        drops += [(i, j) for i in range(len(xs))
+                  for j in range(i + 1, len(xs))][:40]
+        for drop in drops:
+            odd = replace(d, crossings=tuple(
+                x for i, x in enumerate(xs) if i not in drop))
+            for i in drop:
+                a, b = xs[i].over[0], xs[i].under[0]
+                if a != b:
+                    seen.add(_kinds(d, a, b))
+            _assert_readers_match_oracles(odd)
+    assert seen == {("surgery", "surgery"), ("surgery", "wedge"),
+                    ("wedge", "wedge")}
+
+
+def _counting(monkeypatch, name, calls):
+    """Replace the cached property ``Diagram.<name>`` by one that appends
+    each diagram it fills to ``calls``."""
+    fill = getattr(Diagram, name).func
+
+    def counted(d):
+        calls.append(d)
+        return fill(d)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Diagram, name)
+    monkeypatch.setattr(Diagram, name, prop)
+
+
+def test_invariants_query_sweeps_the_crossings_once(monkeypatch):
+    sweeps, tables = [], []
+    _counting(monkeypatch, "linking_counts", sweeps)
+    _counting(monkeypatch, "linking_rows", tables)
+    for d in (mend(identity_diagram(8), "V", "U"),
+              tensor(identity_diagram(8), sigma_g_s1_link(8))):
+        d = parse(serialize(d))
+        sweeps.clear()
+        tables.clear()
+        boundary_profile(d)
+        linking_matrix(d)
+        h1_cobordism(d)
+        if not d.wedges:
+            h1_closed(d)
+            signature(d)
+        assert len(sweeps) == len(tables) == 1
+        assert sweeps[0] is d and tables[0] is d
