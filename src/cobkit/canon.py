@@ -19,6 +19,7 @@ The form is the boundary header and the sorted component codes.
 from __future__ import annotations
 
 from .diagram import CenterSlot, Diagram, crossings_along
+from .invariants import boundary_profile
 
 
 def _walk(d: Diagram, slots, start, rot):
@@ -69,9 +70,7 @@ def canonical_form(d: Diagram):
             codes.append(min(_walk(d, slots, s, r)[0] for s in met
                              for r in range(len(slots[s][1])) or (0,)))
             seen.update(met)
-    header = (tuple(d.wedge(w).genus for w in d.source_order),
-              tuple(d.wedge(w).genus for w in d.target_order),
-              len(d.circles), len(d.crossings))
+    header = boundary_profile(d) + (len(d.circles), len(d.crossings))
     return header + (tuple(sorted(codes)),)
 
 

@@ -8,16 +8,17 @@ decimal strings; the parser accepts both forms.  The parser checks the
 JSON type of every node before use and raises only ``ParseError``, with
 a dotted location such as ``diagram.circles[2].events``.
 
-The diagram is read by one loop per node kind (circles with their
-events, crossings, wedges, and the two boundary orders).  Each loop
-checks the common JSON types inline and builds the values directly.  An
-item that fails the inline check goes to the located reader of its kind
-(``_circle_in``, ``_crossing_in``, ``_wedge_in``, ``_string``), which
-either accepts it (an integer written as a string, say) or raises the
-``ParseError`` for it; the inline check passes only items for which
-that reader returns the same value.  Located readers pass locations
-down as nested ``(parent, key)`` pairs, and the text is built only when
-a ``ParseError`` is raised.
+The diagram is read by one reader per node kind (circles with their
+events, crossings, wedges, and id lists).  Each reader checks every
+field's JSON type inline and builds the values directly.  Only a field
+that fails its check goes to a located coercion for that field
+(``_int_in``, ``_string``, ``_strand_in``, or ``_field`` for a missing
+key), which either accepts it (an integer written as a string, say) or
+raises the ``ParseError`` for it; fields are checked in document order
+(a circle's ``id``, ``events``, ``kind``, then ``framing`` or ``wedge``
+and ``index``), so the first bad field is the one reported.  Locations
+are nested ``(parent, key)`` pairs, built only on that fallback path,
+and their text only when a ``ParseError`` is raised.
 
 Both documents are written by one small recursive writer, ``_write``,
 whose bytes equal ``json.dumps(doc, sort_keys=True, separators=(",",
@@ -90,7 +91,6 @@ def _reader(kind, name):
     return read
 
 
-_object = _reader(dict, "an object")
 _list = _reader(list, "a list")
 _string = _reader(str, "a string")
 
@@ -107,40 +107,6 @@ def _field(obj, key, read, where, default=MISSING):
     return read(raw, (where, key))
 
 
-def _items(obj, key, read, where, default=()):
-    """The list ``obj[key]`` with every item checked by ``read`` at
-    ``where.key[i]``, as a tuple."""
-    raw = _field(obj, key, _list, where, default)
-    where = (where, key)
-    return tuple(read(item, (where, i)) for i, item in enumerate(raw))
-
-
-def _event_in(raw, where):
-    if not isinstance(raw, list) or not raw:
-        raise _error("bad event", where)
-    if (raw[0] == "x" and len(raw) == 3 and isinstance(raw[1], str)
-            and raw[2] in ("over", "under")):
-        return CrossingSlot(raw[1], raw[2])
-    if raw[0] == "center" and len(raw) == 2 and raw[1] in ("depart", "return"):
-        return DEPART if raw[1] == "depart" else RETURN
-    raise _error(f"bad event {raw!r}", where)
-
-
-def _circle_in(raw, where):
-    raw = _object(raw, where)
-    cid = _field(raw, "id", _string, where)
-    events = _items(raw, "events", _event_in, where)
-    kind = raw.get("kind")
-    if kind == SURGERY:
-        return Circle(cid, SURGERY, events,
-                      framing=_field(raw, "framing", _int_in, where, 0))
-    if kind == WEDGE:
-        return Circle(cid, WEDGE, events,
-                      wedge=_field(raw, "wedge", _string, where),
-                      index=_field(raw, "index", _int_in, where, 0))
-    raise _error(f"unknown circle kind {kind!r}", where)
-
-
 def _strand_in(raw, where):
     if not (isinstance(raw, list) and len(raw) == 2
             and isinstance(raw[0], str)):
@@ -148,108 +114,103 @@ def _strand_in(raw, where):
     return raw[0], _int_in(raw[1], where)
 
 
-def _crossing_in(raw, where):
-    raw = _object(raw, where)
-    return Crossing(id=_field(raw, "id", _string, where),
-                    over=_field(raw, "over", _strand_in, where),
-                    under=_field(raw, "under", _strand_in, where),
-                    sign=_field(raw, "sign", _int_in, where))
-
-
-def _wedge_in(raw, where):
-    raw = _object(raw, where)
-    return Wedge(id=_field(raw, "id", _string, where),
-                 color=_field(raw, "color", _string, where),
-                 circle_ids=_items(raw, "circles", _string, where, MISSING))
-
-
 _DEPART_IN = ["center", "depart"]
 _RETURN_IN = ["center", "return"]
 
 
-def _events_in(raw):
-    """The events of the JSON list ``raw`` as a tuple, or None when an
-    item fails the inline check."""
-    slots = []
-    for e in raw:
-        if type(e) is not list:
-            return None
-        if (len(e) == 3 and e[0] == "x" and type(e[1]) is str
-                and type(e[2]) is str and (e[2] == "over" or e[2] == "under")):
-            slots.append(CrossingSlot(e[1], e[2]))
-        elif e == _DEPART_IN:
-            slots.append(DEPART)
-        elif e == _RETURN_IN:
-            slots.append(RETURN)
-        else:
-            return None
-    return tuple(slots)
-
-
 def _circles_in(raw, where):
-    """The circles with their events, one loop; a circle that fails the
-    inline check is read by :func:`_circle_in`."""
+    """The circles with their events; circle ``i`` is at ``where[i]``,
+    and a failing event at the number of events read before it."""
     out = []
     for i, c in enumerate(raw):
-        if type(c) is dict:
-            cid, events, kind = c.get("id"), c.get("events"), c.get("kind")
-            if type(cid) is str and type(events) is list:
-                events = _events_in(events)
-                if events is not None and kind == SURGERY:
-                    framing = c.get("framing", 0)
-                    if type(framing) is int:
-                        out.append(Circle(cid, SURGERY, events,
-                                          framing=framing))
-                        continue
-                elif events is not None and kind == WEDGE:
-                    wid, index = c.get("wedge"), c.get("index", 0)
-                    if type(wid) is str and type(index) is int:
-                        out.append(Circle(cid, WEDGE, events,
-                                          wedge=wid, index=index))
-                        continue
-        out.append(_circle_in(c, (where, i)))
+        if type(c) is not dict:
+            raise _error("expected an object", (where, i))
+        cid, events, kind = c.get("id"), c.get("events"), c.get("kind")
+        if type(cid) is not str:
+            cid = _field(c, "id", _string, (where, i))
+        if type(events) is not list:
+            events = _field(c, "events", _list, (where, i), ())
+        slots = []
+        for e in events:
+            if type(e) is list:
+                if (len(e) == 3 and e[0] == "x" and type(e[1]) is str
+                        and type(e[2]) is str
+                        and (e[2] == "over" or e[2] == "under")):
+                    slots.append(CrossingSlot(e[1], e[2]))
+                    continue
+                if e == _DEPART_IN:
+                    slots.append(DEPART)
+                    continue
+                if e == _RETURN_IN:
+                    slots.append(RETURN)
+                    continue
+            raise _error(f"bad event {e!r}" if type(e) is list and e
+                         else "bad event",
+                         (((where, i), "events"), len(slots)))
+        if kind == SURGERY:
+            framing = c.get("framing", 0)
+            if type(framing) is not int:
+                framing = _field(c, "framing", _int_in, (where, i))
+            out.append(Circle(cid, SURGERY, tuple(slots), framing=framing))
+        elif kind == WEDGE:
+            wid, index = c.get("wedge"), c.get("index", 0)
+            if type(wid) is not str:
+                wid = _field(c, "wedge", _string, (where, i))
+            if type(index) is not int:
+                index = _field(c, "index", _int_in, (where, i))
+            out.append(Circle(cid, WEDGE, tuple(slots), wedge=wid,
+                              index=index))
+        else:
+            raise _error(f"unknown circle kind {kind!r}", (where, i))
     return tuple(out)
 
 
 def _crossings_in(raw, where):
-    """The crossings, one loop; a crossing that fails the inline check is
-    read by :func:`_crossing_in`."""
+    """The crossings; item ``i`` is at ``where[i]``."""
     out = []
     for i, x in enumerate(raw):
-        if type(x) is dict:
-            xid, over, under, sign = (x.get("id"), x.get("over"),
-                                      x.get("under"), x.get("sign"))
-            if (type(xid) is str and type(sign) is int
-                    and type(over) is list and len(over) == 2
-                    and type(over[0]) is str and type(over[1]) is int
-                    and type(under) is list and len(under) == 2
-                    and type(under[0]) is str and type(under[1]) is int):
-                out.append(Crossing(xid, (over[0], over[1]),
-                                    (under[0], under[1]), sign))
-                continue
-        out.append(_crossing_in(x, (where, i)))
+        if type(x) is not dict:
+            raise _error("expected an object", (where, i))
+        xid, over, under, sign = (x.get("id"), x.get("over"),
+                                  x.get("under"), x.get("sign"))
+        if type(xid) is not str:
+            xid = _field(x, "id", _string, (where, i))
+        if (type(over) is list and len(over) == 2
+                and type(over[0]) is str and type(over[1]) is int):
+            over = over[0], over[1]
+        else:
+            over = _field(x, "over", _strand_in, (where, i))
+        if (type(under) is list and len(under) == 2
+                and type(under[0]) is str and type(under[1]) is int):
+            under = under[0], under[1]
+        else:
+            under = _field(x, "under", _strand_in, (where, i))
+        if type(sign) is not int:
+            sign = _field(x, "sign", _int_in, (where, i))
+        out.append(Crossing(xid, over, under, sign))
     return tuple(out)
 
 
 def _wedges_in(raw, where):
-    """The wedges, one loop; a wedge that fails the inline check is read
-    by :func:`_wedge_in`."""
+    """The wedges; item ``i`` is at ``where[i]``."""
     out = []
     for i, w in enumerate(raw):
-        if type(w) is dict:
-            wid, color, cids = w.get("id"), w.get("color"), w.get("circles")
-            if (type(wid) is str and type(color) is str
-                    and type(cids) is list
-                    and all(type(c) is str for c in cids)):
-                out.append(Wedge(wid, color, tuple(cids)))
-                continue
-        out.append(_wedge_in(w, (where, i)))
+        if type(w) is not dict:
+            raise _error("expected an object", (where, i))
+        wid, color, cids = w.get("id"), w.get("color"), w.get("circles")
+        if type(wid) is not str:
+            wid = _field(w, "id", _string, (where, i))
+        if type(color) is not str:
+            color = _field(w, "color", _string, (where, i))
+        if type(cids) is not list or not all(type(c) is str for c in cids):
+            cids = _strings_in(_field(w, "circles", _list, (where, i)),
+                               ((where, i), "circles"))
+        out.append(Wedge(wid, color, tuple(cids)))
     return tuple(out)
 
 
 def _strings_in(raw, where):
-    """A list of ids, one loop; an item that is not a string is read by
-    :func:`_string`."""
+    """A list of ids as a tuple; item ``i`` is at ``where[i]``."""
     return tuple(s if type(s) is str else _string(s, (where, i))
                  for i, s in enumerate(raw))
 
@@ -351,9 +312,9 @@ def serialize(d: Diagram, metadata=None) -> str:
     return _dumps(diagram_to_document(d, metadata))
 
 
-def document_to_diagram(doc, where="document") -> Diagram:
+def document_to_diagram(doc) -> Diagram:
     if not isinstance(doc, dict):
-        raise ParseError(f"{where} must be an object", where)
+        raise ParseError("document must be an object", "document")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ParseError(

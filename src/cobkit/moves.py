@@ -39,6 +39,7 @@ from .diagram import (CrossingSlot, Diagram, INCOMING, OUTGOING, OVER, UNDER,
                       crossings_between, linking_number)
 from .editing import DiagramEditor, clasp_events, slot_after_removal
 from .errors import MoveError, NotStandardPositionError
+from .invariants import boundary_profile
 from .membranes import circle_excursions
 from .planarity import (CombinatorialMap, Dart, arc_endpoints, circle_arcs,
                         validate)
@@ -613,8 +614,6 @@ def search_equivalent(d1: Diagram, d2: Diagram, budget: int = 200):
     (inconclusive: the calculus is only semi-decidable).  Both diagrams
     must have equal boundary profiles over identical wedge sequences.
     """
-    from .invariants import boundary_profile
-
     if boundary_profile(d1) != boundary_profile(d2):
         raise MoveError("search requires equal boundary profiles")
     target = canonical_form(d2)

@@ -3,6 +3,7 @@ random diagram generator used by the property tests."""
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import re
@@ -1276,6 +1277,12 @@ def mutate_document(rng: random.Random, doc):
     odd_values = [None, True, False, 0, -1, 7, 2 ** 70, -2 ** 65, 1.5,
                   "", "x", "7", " 7", "1_0", "-3", "0x1", "seven", [],
                   [1, 2], ["x"], {}, {"id": "k1"}]
+
+    def odd():
+        # A fresh copy: a list shared by two nodes, or appended to
+        # itself by a later edit, would make the document cyclic.
+        return copy.deepcopy(rng.choice(odd_values))
+
     for _ in range(rng.randint(1, 3)):
         nodes = []
 
@@ -1298,7 +1305,7 @@ def mutate_document(rng: random.Random, doc):
                 del node[rng.choice(keys)]
             elif op == 1:
                 node[rng.choice(["extra", "kind", "framing", "index",
-                                 "wedge", "events"])] = rng.choice(odd_values)
+                                 "wedge", "events"])] = odd()
             elif op == 2 and "kind" in node:
                 node["kind"] = rng.choice(["handle", "Surgery", "wedge",
                                            "surgery", 3])
@@ -1310,7 +1317,7 @@ def mutate_document(rng: random.Random, doc):
                                             f"{value}_0", bool(value),
                                             value + 2 ** 64, float(value)])
                 else:
-                    node[key] = rng.choice(odd_values)
+                    node[key] = odd()
         elif node:
             i = rng.randrange(len(node))
             value = node[i]
@@ -1325,7 +1332,7 @@ def mutate_document(rng: random.Random, doc):
                 node[i] = rng.choice([str(value), f" {value}", f"{value}_0",
                                       True, value + 2 ** 64, [value]])
             else:
-                node[i] = rng.choice(odd_values)
+                node[i] = odd()
         else:
-            node.append(rng.choice(odd_values))
+            node.append(odd())
     return doc

@@ -76,6 +76,15 @@ def test_validate_ok_and_corrupted(capsys, tmp_path, monkeypatch):
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 1
+    assert out == ""
+    assert err == ("error: diagram fails validation: bad-sign: crossing x1: "
+                   "sign must be +1 or -1\n")
+    code, out, err = run(capsys, "--json-errors", "validate", str(bad))
+    assert code == 1 and err == ""
+    assert json.loads(out) == {"error": {
+        "kind": "parse", "location": "x1",
+        "message": "diagram fails validation: bad-sign: crossing x1: "
+                   "sign must be +1 or -1"}}
 
 
 def test_usage_error_exit_code(capsys):

@@ -44,18 +44,68 @@ def test_seeded_mutations_match_oracle():
     assert 0 < accepted < 500
 
 
+SURGERY_DOC = json.loads(serialize(mend(identity_diagram(1), "V", "U")))
+WEDGE_DOC = json.loads(serialize(identity_diagram(1)))
+
+# (document, path to a node, its fields in the order the reader checks
+# them): every field of every node kind, list items by index.
+FIELDS = [
+    (WEDGE_DOC, (), ["circles", "crossings", "wedges", "source_order",
+                     "target_order"]),
+    (WEDGE_DOC, ("circles",), [0, 1]),
+    (SURGERY_DOC, ("crossings",), [0, 1]),
+    (WEDGE_DOC, ("wedges",), [0, 1]),
+    (SURGERY_DOC, ("circles", 0), ["id", "events", "kind", "framing"]),
+    (WEDGE_DOC, ("circles", 0), ["id", "events", "kind", "wedge", "index"]),
+    (SURGERY_DOC, ("circles", 0), ["wedge", "index"]),   # not read
+    (WEDGE_DOC, ("circles", 0), ["framing"]),            # not read
+    (SURGERY_DOC, ("circles", 0, "events"), [0, 1]),
+    (SURGERY_DOC, ("crossings", 0), ["id", "over", "under", "sign"]),
+    (SURGERY_DOC, ("crossings", 1, "over"), [0, 1]),
+    (SURGERY_DOC, ("crossings", 0, "under"), [0, 1]),
+    (WEDGE_DOC, ("wedges", 0), ["id", "color", "circles"]),
+    (WEDGE_DOC, ("wedges", 1, "circles"), [0]),
+    (WEDGE_DOC, ("source_order",), [0]),
+    (WEDGE_DOC, ("target_order",), [0]),
+]
+MISSING = object()
+# A missing key, null, a list, a dict and a bool, then integers written
+# as strings (and other near-integers) for the integer fields.
+VALUES = [MISSING, None, [], ["k1", 0], {}, {"id": "k1"}, True, False,
+          "7", "2", " 7", "-0", "1_0", "x", str(2 ** 70), 2 ** 70, 1.0]
+
+
+def _edited(doc, path, edits):
+    doc = json.loads(json.dumps(doc))
+    node = doc["diagram"]
+    for key in path:
+        node = node[key]
+    # Higher list indices first, so that deleting one shifts no other.
+    for key in sorted(edits, key=str, reverse=True):
+        if edits[key] is not MISSING:
+            node[key] = edits[key]
+        elif isinstance(node, dict):
+            node.pop(key, None)
+        else:
+            del node[key]
+    return json.dumps(doc)
+
+
 def test_integer_nodes_match_oracle():
-    base = serialize(mend(identity_diagram(1), "V", "U"))
-    for path in [("circles", 0, "framing"), ("circles", 0, "index"),
-                 ("crossings", 0, "sign"), ("crossings", 1, "over", 1),
-                 ("crossings", 0, "under", 1)]:
-        for value in [" 7", "1_0", "7", "-0", True, 2 ** 70, "2", 1.0, "x"]:
-            doc = json.loads(base)
-            node = doc["diagram"]
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
-            _same_as_oracle(json.dumps(doc))
+    """Each field of each node kind set to each value of VALUES, and each
+    pair of fields of one node broken at once, where the reader's field
+    order decides which error is reported."""
+    accepted = rejected = 0
+    for doc, path, keys in FIELDS:
+        edits = [{key: value} for key in keys for value in VALUES]
+        edits += [{a: bad, b: bad} for i, a in enumerate(keys)
+                  for b in keys[i + 1:] for bad in (MISSING, None, {})]
+        for edit in edits:
+            if _same_as_oracle(_edited(doc, path, edit)):
+                accepted += 1
+            else:
+                rejected += 1
+    assert accepted and rejected
 
 
 hypothesis = pytest.importorskip("hypothesis")
