@@ -277,34 +277,22 @@ def make_identity_link(d: Diagram, u: str, v: str) -> Diagram:
 
 def _find_clasp(d: Diagram, a: str, b: str):
     """The identity clasp between circles ``a`` (incoming role) and ``b``:
-    returns (c1, c2, slot_a, slot_b) or raises."""
-    ea = d.circle(a).events
-    eb = d.circle(b).events
+    returns (c1, c2, slot_a, slot_b) or raises.  ``a`` runs under c1 at
+    slot_a and over c2 right after it, ``b`` under c2 at slot_b and over
+    c1 right after it, and both signs are +1."""
     between = crossings_between(d, a, b)
     if len(between) != 2:
         raise CompositionError(
             f"{a} and {b} cross {len(between)} times, not 2: not an "
             "identity link")
-    for sa in range(len(ea) - 1):
-        e1, e2 = ea[sa], ea[sa + 1]
-        if not (isinstance(e1, CrossingSlot) and isinstance(e2, CrossingSlot)):
-            continue
-        if {e1.crossing, e2.crossing} != {x.id for x in between}:
-            continue
-        if not (e1.role == UNDER and e2.role == OVER):
-            continue
-        for sb in range(len(eb) - 1):
-            f1, f2 = eb[sb], eb[sb + 1]
-            if not (isinstance(f1, CrossingSlot)
-                    and isinstance(f2, CrossingSlot)):
-                continue
-            if (f1.crossing == e2.crossing and f1.role == UNDER
-                    and f2.crossing == e1.crossing and f2.role == OVER
-                    and d.crossing(e1.crossing).sign == 1
-                    and d.crossing(e2.crossing).sign == 1):
-                return e1.crossing, e2.crossing, sa, sb
-    raise CompositionError(
-        f"{a} and {b} are not in the identity-link configuration")
+    c1, c2 = between              # in the order ``a`` meets them
+    s, t = c1.under[1], c2.under[1]
+    if not (c1.under == (a, s) and c2.over == (a, s + 1)
+            and c2.under == (b, t) and c1.over == (b, t + 1)
+            and c1.sign == c2.sign == 1):
+        raise CompositionError(
+            f"{a} and {b} are not in the identity-link configuration")
+    return c1.id, c2.id, s, t
 
 
 def mend(d: Diagram, u: str, v: str, swap_roles: bool = False) -> Diagram:
@@ -323,7 +311,6 @@ def mend(d: Diagram, u: str, v: str, swap_roles: bool = False) -> Diagram:
     wv = _wedge(d, v, INCOMING)
     if wu.genus != wv.genus:
         raise GenusMismatchError("mend needs wedges of equal genus")
-    g = wu.genus
 
     # One walk along the pair circles, index by index, finds the first
     # crossing with another wedge and the first one that breaks the
@@ -352,27 +339,23 @@ def mend(d: Diagram, u: str, v: str, swap_roles: bool = False) -> Diagram:
             f"(crossing {stray[0].id} joins {stray[1]})")
 
     ed = DiagramEditor(d)
-    x_sources = wu.circle_ids if swap_roles else wv.circle_ids
-    y_sources = wv.circle_ids if swap_roles else wu.circle_ids
     ed.drop_wedge_keep_circles(u, framing=0)
     ed.drop_wedge_keep_circles(v, framing=0)
 
     bid = ed.fresh_id("mb")
     ed.add_surgery_circle(bid, 0)
     # Each pair circle carries exactly one clasp: excise them all in one
-    # sweep, then put motif i where clasp i was.
-    clasp_at = [[(cid, next(k for k, e in enumerate(ed.events[cid])
-                            if isinstance(e, CrossingSlot)
-                            and e.crossing in (c1, c2)))
-                 for cid in (x_sources[i], y_sources[i])]
-                for i, (c1, c2, _, _) in enumerate(clasps)]
+    # sweep, then put motif i where clasp i was, one slot earlier than
+    # ``_find_clasp`` read it because the depart slot is gone.  The motif's
+    # role b goes to the ``x`` circle and role c to the ``y`` circle.
     ed.remove_crossings(*(x for c1, c2, _, _ in clasps for x in (c1, c2)))
     b_events = []
-    for i in range(g):
+    for i, ((_, _, s, t), vc, uc) in enumerate(
+            zip(clasps, wv.circle_ids, wu.circle_ids)):
         ev_a, ev_b, ev_c = borromean_motif_events(ed, prefix=f"m{i + 1}s")
         b_events.extend(ev_a)
-        for (cid, at), motif in zip(clasp_at[i], (ev_b, ev_c)):
-            ed.insert_events(cid, at, motif)
+        ed.insert_events(vc, s - 1, ev_c if swap_roles else ev_b)
+        ed.insert_events(uc, t - 1, ev_b if swap_roles else ev_c)
     ed.events[bid] = b_events
 
     out = ed.freeze()

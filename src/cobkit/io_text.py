@@ -368,10 +368,9 @@ def _move_kind(cls):
 _MOVE_CLASSES = {_move_kind(cls): cls for cls in _moves._HANDLERS}
 
 
-def _tuple_in(raw):
-    if not isinstance(raw, list):
-        raise TypeError("expected a list")
-    return tuple(_tuple_in(v) if isinstance(v, list) else v for v in raw)
+def _tuple_in(raw, where):
+    return tuple(_tuple_in(v, where) if isinstance(v, list) else v
+                 for v in _list(raw, where))
 
 
 def _wire_out(value):
@@ -380,8 +379,11 @@ def _wire_out(value):
     return value
 
 
-# Field annotation (without ``| None``) -> coercion of its wire value.
-_FIELD_IN = {"int": int, "str": str, "bool": bool, "tuple": _tuple_in}
+# Field annotation (without ``| None``) -> type-checked reader of its wire
+# value: an int field takes what ``_int_in`` takes, a bool or str field
+# only a JSON boolean or string.
+_FIELD_IN = {"int": _int_in, "str": _string,
+             "bool": _reader(bool, "a boolean"), "tuple": _tuple_in}
 
 
 def _encode_move(m):
@@ -411,10 +413,10 @@ def _decode_move(obj, where):
                 raise ParseError(f"malformed {kind} move at {where}: "
                                  f"missing {f.name!r}", where)
             continue
-        coerce = _FIELD_IN[f.type.partition(" | ")[0]]
+        read = _FIELD_IN[f.type.partition(" | ")[0]]
         try:
-            args[f.name] = coerce(obj[f.name])
-        except (TypeError, ValueError, RecursionError):
+            args[f.name] = read(obj[f.name], where)
+        except (ParseError, RecursionError):
             raise ParseError(f"malformed {kind} move at {where}: "
                              f"bad {f.name!r}", where) from None
     return cls(**args)

@@ -26,8 +26,9 @@ gives it its move-script codec (:mod:`cobkit.io_text`): a move is written
 as an object whose ``kind`` is the class name in snake_case (``r1``,
 ``blow_up``, ``handle_slide``) and which carries every field whose value
 is not ``None``, tuples as nested lists; reading fills absent fields from
-the dataclass defaults.  Sites are darts ``(circle, arc, dir)`` of the
-target diagram.
+the dataclass defaults and takes an ``int`` field only as a JSON integer
+or decimal string, a ``bool`` or ``str`` field only as a JSON boolean or
+string.  Sites are darts ``(circle, arc, dir)`` of the target diagram.
 """
 
 from __future__ import annotations
@@ -175,9 +176,12 @@ def _apply_r1(d: Diagram, m: R1) -> Diagram:
 # -- R2 ---------------------------------------------------------------------
 
 def _apply_r2(d: Diagram, m: R2) -> Diagram:
-    ed = DiagramEditor(d)
     if m.crossings is not None:
         x1, x2 = _pair(m.crossings, "R2 crossings")
+        if not all(isinstance(x, str) and x in d.crossing_by_id
+                   for x in (x1, x2)):
+            raise MoveError("R2 crossings are not both crossings of the "
+                            "diagram", m.crossings)
         a = d.crossing(x1)
         b = d.crossing(x2)
         if {a.over[0], a.under[0]} != {b.over[0], b.under[0]}:
@@ -198,6 +202,7 @@ def _apply_r2(d: Diagram, m: R2) -> Diagram:
             if not _neighbours(c, *slots):
                 raise MoveError(f"bigon events are not adjacent on {cid}",
                                 m.crossings)
+        ed = DiagramEditor(d)
         ed.remove_crossings(x1, x2)
         return _check(ed.freeze(), "R2 remove")
 
@@ -209,38 +214,33 @@ def _apply_r2(d: Diagram, m: R2) -> Diagram:
     face_of = CombinatorialMap(d).face_of
     if face_of.get(d1) != face_of.get(d2):
         raise MoveError("R2 darts do not border a common face", m.darts)
-    role1 = OVER if m.over else UNDER
-    role2 = UNDER if m.over else OVER
-    # The local picture has two free choices -- which way the finger
-    # curls, and the handedness of the pair of crossings (set by which
-    # side of each strand the shared face lies on).  All four are
-    # legitimate pushes with cancelling signs; keep the first one the
-    # site can actually realize in the sphere.
-    for chirality in (1, -1):
-        s = chirality if m.over else -chirality
-        for flip in (False, True):
-            trial = ed.copy()
-            n1 = trial.new_crossing(s, prefix="r")
-            n2 = trial.new_crossing(-s, prefix="r")
-            block1 = [CrossingSlot(n1, role1), CrossingSlot(n2, role1)]
-            block2 = [CrossingSlot(n2, role2), CrossingSlot(n1, role2)]
-            if flip:
-                block2.reverse()
-            if d1.dir == -1:
-                block1.reverse()
-            if d2.dir == -1:
-                block2.reverse()
-            # Insert the deeper slot first when both land on one circle.
-            inserts = sorted([(d1.circle, d1.arc + 1, block1),
-                              (d2.circle, d2.arc + 1, block2)],
-                             key=lambda t: -t[1])
-            for cid, at, block in inserts:
-                trial.insert_events(cid, at, block)
-            out = trial.freeze()
-            if validate(out).ok:
-                return out
-    raise MoveError("R2 darts admit no planar push across this face",
-                    m.darts)
+    # The shared face lies on the left of both darts, so the finger leaves
+    # the first strand into it and crosses the second strand out of it and
+    # back: along the darts the first strand meets n1 then n2, the second
+    # n2 then n1, and n1 is right-handed exactly when the darts run the
+    # same way (chirality +1) and the first strand is over.
+    chirality = d1.dir * d2.dir
+    s = chirality if m.over else -chirality
+    role1, role2 = (OVER, UNDER) if m.over else (UNDER, OVER)
+    ed = DiagramEditor(d)
+    n1 = ed.new_crossing(s, prefix="r")
+    n2 = ed.new_crossing(-s, prefix="r")
+    block1 = [CrossingSlot(n1, role1), CrossingSlot(n2, role1)]
+    block2 = [CrossingSlot(n2, role2), CrossingSlot(n1, role2)]
+    if d1.dir == -1:
+        block1.reverse()
+    if d2.dir == -1:
+        block2.reverse()
+    # Insert the deeper slot first when both land on one circle.
+    for cid, at, block in sorted([(d1.circle, d1.arc + 1, block1),
+                                  (d2.circle, d2.arc + 1, block2)],
+                                 key=lambda t: -t[1]):
+        ed.insert_events(cid, at, block)
+    out = ed.freeze()
+    if not validate(out).ok:
+        raise MoveError("R2 darts admit no planar push across this face",
+                        m.darts)
+    return out
 
 
 # -- R3 ---------------------------------------------------------------------

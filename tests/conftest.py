@@ -1336,3 +1336,86 @@ def mutate_document(rng: random.Random, doc):
         else:
             node.append(odd())
     return doc
+
+
+# -- placements found by trial, kept as oracles -------------------------------
+
+def r2_push_oracle(d, m):
+    """The R2 push ``apply(d, m)`` must give, found by trial: of the four
+    pushes (two chiralities, and the second strand's crossings in either
+    order), the first whose code is planar.  Each trial copies the
+    editor, freezes and validates."""
+    from cobkit.editing import DiagramEditor
+    from cobkit.errors import MoveError
+    from cobkit.moves import _as_dart, _pair
+    from cobkit.planarity import CombinatorialMap
+
+    d1, d2 = (_as_dart(d, s) for s in _pair(m.darts, "R2 darts"))
+    if (d1.circle, d1.arc) == (d2.circle, d2.arc):
+        raise MoveError("R2 darts must lie on distinct arcs", m.darts)
+    face_of = CombinatorialMap(d).face_of
+    if face_of.get(d1) != face_of.get(d2):
+        raise MoveError("R2 darts do not border a common face", m.darts)
+    ed = DiagramEditor(d)
+    role1 = OVER if m.over else UNDER
+    role2 = UNDER if m.over else OVER
+    for chirality in (1, -1):
+        s = chirality if m.over else -chirality
+        for flip in (False, True):
+            trial = ed.copy()
+            n1 = trial.new_crossing(s, prefix="r")
+            n2 = trial.new_crossing(-s, prefix="r")
+            block1 = [CrossingSlot(n1, role1), CrossingSlot(n2, role1)]
+            block2 = [CrossingSlot(n2, role2), CrossingSlot(n1, role2)]
+            if flip:
+                block2.reverse()
+            if d1.dir == -1:
+                block1.reverse()
+            if d2.dir == -1:
+                block2.reverse()
+            inserts = sorted([(d1.circle, d1.arc + 1, block1),
+                              (d2.circle, d2.arc + 1, block2)],
+                             key=lambda t: -t[1])
+            for cid, at, block in inserts:
+                trial.insert_events(cid, at, block)
+            out = trial.freeze()
+            if validate(out).ok:
+                return out
+    raise MoveError("R2 darts admit no planar push across this face",
+                    m.darts)
+
+
+def find_clasp_oracle(d, a, b):
+    """What ``compose._find_clasp(d, a, b)`` must return, by scanning every
+    pair of consecutive events on ``a`` and then on ``b`` for the clasp
+    pattern: ``(c1, c2, slot_a, slot_b)``, or a ``CompositionError``."""
+    from cobkit.diagram import crossings_between
+    from cobkit.errors import CompositionError
+
+    ea = d.circle(a).events
+    eb = d.circle(b).events
+    between = crossings_between(d, a, b)
+    if len(between) != 2:
+        raise CompositionError(
+            f"{a} and {b} cross {len(between)} times, not 2: not an "
+            "identity link")
+    for sa in range(len(ea) - 1):
+        e1, e2 = ea[sa], ea[sa + 1]
+        if not (isinstance(e1, CrossingSlot) and isinstance(e2, CrossingSlot)):
+            continue
+        if {e1.crossing, e2.crossing} != {x.id for x in between}:
+            continue
+        if not (e1.role == UNDER and e2.role == OVER):
+            continue
+        for sb in range(len(eb) - 1):
+            f1, f2 = eb[sb], eb[sb + 1]
+            if not (isinstance(f1, CrossingSlot)
+                    and isinstance(f2, CrossingSlot)):
+                continue
+            if (f1.crossing == e2.crossing and f1.role == UNDER
+                    and f2.crossing == e1.crossing and f2.role == OVER
+                    and d.crossing(e1.crossing).sign == 1
+                    and d.crossing(e2.crossing).sign == 1):
+                return e1.crossing, e2.crossing, sa, sb
+    raise CompositionError(
+        f"{a} and {b} are not in the identity-link configuration")

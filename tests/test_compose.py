@@ -8,10 +8,12 @@ from cobkit import (CompositionError, borromean, boundary_profile, compose,
                     make_identity_link, mend, overpass_circle, permute, sew,
                     sigma_g_s1_link, structural_iso, tensor, thread_circle,
                     unknot, validate, wedge_row)
-from cobkit.compose import delete_wedge
-from cobkit.diagram import INCOMING, OVER, UNDER, CrossingSlot
+from cobkit.compose import _find_clasp, delete_wedge
+from cobkit.diagram import INCOMING, OUTGOING, OVER, UNDER, CrossingSlot
 from cobkit.editing import DiagramEditor, clasp_events
 from cobkit.errors import GenusMismatchError, MalformedDiagramError
+
+from conftest import corpus_with_wedge, find_clasp_oracle, outcome
 
 
 # -- tensor -------------------------------------------------------------------
@@ -311,6 +313,43 @@ def test_mend_rejects():
         assert validate(d).ok
         with pytest.raises(CompositionError, match=text):
             mend(d, u, v)
+
+
+def _clasp_sites():
+    """``(diagram, incoming circle, outgoing circle)`` for every such pair
+    of circles in the wedge corpora, identities, Twist-linked wedge rows
+    (bare, and threaded so that the clasp sits at different slots on its
+    two circles) and the rejected mend probes."""
+    diagrams = [d for color in (INCOMING, OUTGOING)
+                for _, d in corpus_with_wedge(color)]
+    diagrams += [identity_diagram(g) for g in range(7)]
+    for g in (1, 2, 3):
+        row = wedge_row([("outgoing", g), ("incoming", g), ("incoming", 1)])
+        linked = make_identity_link(row, "w1", "w2")
+        diagrams += [linked, thread_circle(linked, "w1c1", "s1"),
+                     thread_circle(linked, f"w2c{g}", "s1", sign=-1)]
+    diagrams += [d for d, *_ in _mend_probes()]
+    for d in diagrams:
+        for w in d.wedges:
+            if w.color != INCOMING:
+                continue
+            for x in d.wedges:
+                if x.color == OUTGOING:
+                    for a in w.circle_ids:
+                        for b in x.circle_ids:
+                            yield d, a, b
+
+
+def test_find_clasp_matches_scan_oracle():
+    """The clasp read from its two crossings is the one the scan over
+    consecutive events finds, or the same refusal."""
+    found = set()
+    for d, a, b in _clasp_sites():
+        got = outcome(_find_clasp, d, a, b)
+        assert got == outcome(find_clasp_oracle, d, a, b), (a, b)
+        if got[0] == "ok":
+            found.add(got[1][2] == got[1][3])
+    assert found == {True, False}
 
 
 def test_mend_swap_roles_invariance():

@@ -123,6 +123,14 @@ def test_move_script_without_default_fields_still_parses():
         HandleSlide("k1", "k2")))
 
 
+def test_move_int_field_takes_a_decimal_string():
+    text = json.dumps({"format_version": "1", "moves": [
+        {"kind": "blow_up", "sign": "-1"}, {"kind": "r1", "site": ["k1", 0],
+                                            "sign": -1}]})
+    assert parse_move_script(text) == MoveScript((
+        BlowUp(-1), R1(site=("k1", 0), sign=-1)))
+
+
 @pytest.mark.parametrize("move", [
     {"kind": "r1", "site": ["k1", 0], "sign": "x"},
     {"kind": "blow_up"},
@@ -132,6 +140,11 @@ def test_move_script_without_default_fields_still_parses():
     {"kind": "teleport"},
     {"sign": 1},
     ["r1"],
+    {"kind": "r2", "darts": [["k1", 0, -1], ["k2", 1, 1]], "over": "false"},
+    {"kind": "blow_up", "sign": 1.7},
+    {"kind": "blow_up", "sign": True},
+    {"kind": "blow_down", "circle": 5},
+    {"kind": "twist", "incoming": ["U"], "outgoing": "V"},
 ])
 def test_bad_move_reports_its_location(move):
     text = json.dumps({"format_version": "1",

@@ -14,7 +14,8 @@ from cobkit import (BlowDown, BlowUp, HandleSlide, MoveScript, R1, R2, R3,
 from cobkit.editing import DiagramEditor, clasp_events
 from cobkit.errors import MoveError
 
-from conftest import random_diagram, random_valid_move
+from conftest import (builder_corpus, outcome, r2_push_oracle,
+                      random_diagram, random_valid_move)
 
 
 def test_blow_down_isolated_unknot():
@@ -261,6 +262,7 @@ def test_r2_site_sweep_exhaustive():
     (trefoil, R3(site=("k1",))),
     (trefoil, R2(darts=(("k1",), ("k1", 1)))),
     (trefoil, R2(crossings=("x1",))),
+    (trefoil, R2(crossings=("x1", "nope"))),
     (trefoil, R1(site=("k1",))),
     (trefoil, R1(site=("k1", "a"))),
     (trefoil, R1(site=("k1", 99))),
@@ -270,3 +272,62 @@ def test_r2_site_sweep_exhaustive():
 def test_malformed_site_raises_move_error(build, move):
     with pytest.raises(MoveError):
         apply(build(), move)
+
+
+def _r2_push_sites(rng):
+    """Seeded R2 pushes: ``(diagram, darts)`` for dart pairs on distinct
+    arcs of one face, sampled along short random walks from every builder
+    diagram (Sigma_g x S^1 links and mended identities for g <= 3
+    among them)."""
+    from cobkit.planarity import CombinatorialMap
+
+    for start in builder_corpus():
+        d = start
+        for _ in range(3):
+            pairs = [(a, b) for face in CombinatorialMap(d).faces()
+                     for a in face for b in face
+                     if (a.circle, a.arc) != (b.circle, b.arc)]
+            for a, b in rng.sample(pairs, min(len(pairs), 18)):
+                yield d, (tuple(a), tuple(b))
+            step = random_valid_move(rng, d)
+            if step is None:
+                break
+            d = step[1]
+
+
+def test_r2_push_matches_trial_oracle():
+    """The push read from the darts' directions is the first planar one of
+    the four the trial loop tries, or the same refusal."""
+    pairs = 0
+    seen = set()
+    for d, darts in _r2_push_sites(random.Random(14)):
+        pairs += 1
+        for over in (True, False):
+            m = R2(darts=darts, over=over)
+            got = outcome(apply, d, m)
+            assert got == outcome(r2_push_oracle, d, m), (darts, over)
+            if got[0] == "ok":
+                seen.add("same" if darts[0][2] == darts[1][2] else "opposite")
+            else:
+                seen.add("refused")
+    assert pairs >= 2000
+    assert seen == {"same", "opposite", "refused"}
+
+
+def test_r2_push_validates_once_and_copies_nothing(monkeypatch):
+    from cobkit import mend, moves
+
+    d = mend(identity_diagram(3), "V", "U")
+    calls = []
+
+    def counting_validate(diagram):
+        calls.append(diagram)
+        return validate(diagram)
+
+    def no_copy(self):
+        raise AssertionError("the R2 push copied its editor")
+
+    monkeypatch.setattr(moves, "validate", counting_validate)
+    monkeypatch.setattr(DiagramEditor, "copy", no_copy)
+    out = apply(d, R2(darts=(("u1", 0, 1), ("mb1", 1, -1)), over=False))
+    assert len(calls) == 1 and calls[0] is out
