@@ -24,7 +24,7 @@ from .invariants import (AbelianGroup, IntMatrix, boundary_profile, cokernel,
                          h1_closed, h1_cobordism, invariant_factors,
                          signature, smith_normal_form)
 from .moves import (BlowDown, BlowUp, HandleSlide, Move, MoveScript, R1, R2,
-                    R3, Twist, apply, replay, search_equivalent)
+                    R3, apply, replay, search_equivalent)
 from .compose import (HandlebodyPattern, compose, inside_out,
                       make_identity_link, mend, permute, sew, tensor)
 from .io_text import (parse, parse_move_script, serialize,

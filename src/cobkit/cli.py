@@ -275,12 +275,17 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as exc:
         if args.json_errors:
+            violations = [{"code": v.code, "message": v.message,
+                           "location": v.location} for v in exc.violations]
             print(json.dumps({"error": {"kind": "parse",
                                         "message": str(exc),
-                                        "location": exc.location}},
+                                        "location": exc.location,
+                                        "violations": violations}},
                              sort_keys=True))
         else:
             print(f"error: {exc}", file=sys.stderr)
+            for v in exc.violations[1:]:
+                print(f"{v.code}: {v.message}", file=sys.stderr)
         return VALIDATION_ERROR
     except CobkitError as exc:
         if args.json_errors:

@@ -36,13 +36,11 @@ from dataclasses import dataclass, replace
 
 from .diagram import (CrossingSlot, Diagram, INCOMING, OUTGOING, OVER, UNDER,
                       crossings_along, crossings_between, relabel)
-from .editing import (DiagramEditor, borromean_motif_events,
+from .editing import (DiagramEditor, borromean_motif_events, clasp_events,
                       slot_after_removal)
 from .errors import (CompositionError, GenusMismatchError,
-                     MalformedDiagramError, MoveError,
-                     NotStandardPositionError)
+                     MalformedDiagramError, NotStandardPositionError)
 from .membranes import membrane_excursions
-from .moves import Twist, apply
 from .planarity import validate
 
 
@@ -263,16 +261,30 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
 
 
 def make_identity_link(d: Diagram, u: str, v: str) -> Diagram:
-    """Link a clean outgoing/incoming wedge pair into the identity-link
-    configuration (the Twist move)."""
+    """Clasp a clean outgoing/incoming wedge pair index-wise into the
+    identity-link configuration.
+
+    This is a step of composition, not a move: it changes the cobordism.
+    Every circle of the pair must be free of crossings.
+    """
     wu = _wedge(d, u, OUTGOING)
     wv = _wedge(d, v, INCOMING)
     if wu.genus != wv.genus:
         raise GenusMismatchError("wedges must have equal genus")
-    try:
-        return apply(d, Twist(incoming=v, outgoing=u))
-    except MoveError as exc:
-        raise CompositionError(str(exc)) from exc
+    for cid in wv.circle_ids + wu.circle_ids:
+        if any(isinstance(e, CrossingSlot) for e in d.circle(cid).events):
+            raise CompositionError(
+                f"wedge circle {cid} is not clean; remove its crossings "
+                "with a move script first")
+    ed = DiagramEditor(d)
+    for a, b in zip(wv.circle_ids, wu.circle_ids):
+        clasp_events(ed, a, 1, b, 1, prefix="tw")
+    out = ed.freeze()
+    rep = validate(out)
+    if not rep.ok:
+        raise CompositionError("twist site is not adjacent: the wedges do "
+                               f"not share a region ({rep.codes()})")
+    return out
 
 
 def _find_clasp(d: Diagram, a: str, b: str):
@@ -326,7 +338,7 @@ def mend(d: Diagram, u: str, v: str, swap_roles: bool = False) -> Diagram:
                 if foreign is None and d.circle(other).is_wedge():
                     foreign = x
             elif other != mate[cid] and stray is None:
-                stray = (x, {cid, other})
+                stray = (x, cid, other)
     if foreign is not None:
         raise CompositionError(
             "mend pair may not be linked with other wedges "
@@ -336,7 +348,7 @@ def mend(d: Diagram, u: str, v: str, swap_roles: bool = False) -> Diagram:
     if stray is not None:
         raise CompositionError(
             "mend pair must clasp index-wise only "
-            f"(crossing {stray[0].id} joins {stray[1]})")
+            f"(crossing {stray[0].id} joins {stray[1]} and {stray[2]})")
 
     ed = DiagramEditor(d)
     ed.drop_wedge_keep_circles(u, framing=0)
@@ -374,7 +386,7 @@ def compose(dc: Diagram, dd: Diagram, pairing) -> Diagram:
     Pairs after the first refer to wedges that now live in the merged
     diagram under the prefixes ``c.`` / ``d.``; this function tracks
     that.  A later pair that is not already identity-linked must be
-    clean, in which case the Twist move links it first.
+    clean, in which case :func:`make_identity_link` clasps it first.
     """
     pairing = list(pairing)
     if not pairing:

@@ -43,8 +43,11 @@ class ParseError(CobkitError):
     """Diagram document or move script text could not be parsed.
 
     ``location`` is a dotted JSON-ish path to the offending node when known.
+    ``violations`` holds every :class:`cobkit.planarity.Violation` of a
+    document that parsed but fails validation; the message names the first.
     """
 
-    def __init__(self, message, location=None):
+    def __init__(self, message, location=None, violations=()):
         super().__init__(message)
         self.location = location
+        self.violations = violations

@@ -337,7 +337,7 @@ def document_to_diagram(doc) -> Diagram:
         first = report.violations[0]
         raise ParseError(
             f"diagram fails validation: {first.code}: {first.message}",
-            first.location or "diagram")
+            first.location or "diagram", report.violations)
     return d
 
 

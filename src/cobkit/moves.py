@@ -16,8 +16,10 @@ Implemented moves
   sum with a framing-parallel of the other one.  The companion must be
   free of self-crossings and the two circles must bound a common face for
   the band; slides over knotted parallels are a later extension.
-* ``Twist(incoming, outgoing)`` -- link a clean red/blue wedge pair into
-  the identity-link configuration.
+
+Linking a clean wedge pair into the identity clasp is not a move: it
+changes the cobordism, and :func:`cobkit.compose.make_identity_link`
+does it as a step of composition.
 
 The move vocabulary is deliberately extensible: ``apply`` dispatches on
 the move class, so further local-move families can be registered without
@@ -36,9 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_form
-from .diagram import (CrossingSlot, Diagram, INCOMING, OUTGOING, OVER, UNDER,
-                      crossings_between, linking_number)
-from .editing import DiagramEditor, clasp_events, slot_after_removal
+from .diagram import (CrossingSlot, Diagram, OVER, UNDER, crossings_between,
+                      linking_number)
+from .editing import DiagramEditor, slot_after_removal
 from .errors import MoveError, NotStandardPositionError
 from .invariants import boundary_profile
 from .membranes import circle_excursions
@@ -92,12 +94,6 @@ class R2(Move):
 @dataclass(frozen=True)
 class R3(Move):
     site: tuple                  # one dart on the triangle face
-
-
-@dataclass(frozen=True)
-class Twist(Move):
-    incoming: str
-    outgoing: str
 
 
 @dataclass(frozen=True)
@@ -192,7 +188,7 @@ def _apply_r2(d: Diagram, m: R2) -> Diagram:
         if a.sign + b.sign != 0:
             raise MoveError("bigon crossings must have opposite signs",
                             m.crossings)
-        for cid in {a.over[0], a.under[0]}:
+        for cid in dict.fromkeys((a.over[0], a.under[0])):
             c = d.circle(cid)
             slots = [i for i, e in c.crossing_events()
                      if e.crossing in (x1, x2)]
@@ -497,35 +493,6 @@ def _slide_at_site(d: Diagram, m: HandleSlide, site) -> Diagram:
                     "another site", m.site)
 
 
-# -- twist -------------------------------------------------------------------
-
-def _apply_twist(d: Diagram, m: Twist) -> Diagram:
-    """Clasp the circles of a clean incoming/outgoing wedge pair into the
-    identity-link configuration (index-wise linking +1)."""
-    win = d.wedge_by_id.get(m.incoming)
-    wout = d.wedge_by_id.get(m.outgoing)
-    if win is None or win.color != INCOMING:
-        raise MoveError(f"{m.incoming} is not an incoming wedge", m.incoming)
-    if wout is None or wout.color != OUTGOING:
-        raise MoveError(f"{m.outgoing} is not an outgoing wedge", m.outgoing)
-    if win.genus != wout.genus:
-        raise MoveError("twist needs wedges of equal genus")
-    for cid in win.circle_ids + wout.circle_ids:
-        if any(isinstance(e, CrossingSlot) for e in d.circle(cid).events):
-            raise MoveError(
-                f"wedge circle {cid} is not clean; remove its crossings "
-                "with a move script first", cid)
-    ed = DiagramEditor(d)
-    for a, b in zip(win.circle_ids, wout.circle_ids):
-        clasp_events(ed, a, 1, b, 1, prefix="tw")
-    out = ed.freeze()
-    rep = validate(out)
-    if not rep.ok:
-        raise MoveError("twist site is not adjacent: the wedges do not "
-                        f"share a region ({rep.codes()})")
-    return out
-
-
 _HANDLERS = {
     R1: _apply_r1,
     R2: _apply_r2,
@@ -533,7 +500,6 @@ _HANDLERS = {
     BlowUp: _apply_blow_up,
     BlowDown: _apply_blow_down,
     HandleSlide: _apply_handle_slide,
-    Twist: _apply_twist,
 }
 
 

@@ -417,7 +417,7 @@ def move_walks(rng: random.Random, walks, steps):
 def random_valid_move(rng: random.Random, d):
     """A uniformly chosen applicable move for ``d``; None when the
     candidate pool is empty."""
-    from cobkit import BlowUp, HandleSlide, R1, R2, Twist, apply
+    from cobkit import BlowUp, HandleSlide, R1, R2, apply
     from cobkit.errors import MoveError
     from cobkit.moves import _candidate_moves
     from cobkit.planarity import CombinatorialMap
@@ -447,12 +447,6 @@ def random_valid_move(rng: random.Random, d):
         over = rng.choice([s for s in simple if s != moving] or [None])
         if over:
             candidates.append(HandleSlide(moving, over))
-    outs = [w.id for w in d.wedges if w.color == "outgoing"]
-    ins = [w.id for w in d.wedges if w.color == "incoming"]
-    for u in outs:
-        for v in ins:
-            if d.wedge(u).genus == d.wedge(v).genus:
-                candidates.append(Twist(incoming=v, outgoing=u))
     rng.shuffle(candidates)
     for mv in candidates:
         try:

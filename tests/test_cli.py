@@ -84,7 +84,9 @@ def test_validate_ok_and_corrupted(capsys, tmp_path, monkeypatch):
     assert json.loads(out) == {"error": {
         "kind": "parse", "location": "x1",
         "message": "diagram fails validation: bad-sign: crossing x1: "
-                   "sign must be +1 or -1"}}
+                   "sign must be +1 or -1",
+        "violations": [{"code": "bad-sign", "location": "x1",
+                        "message": "crossing x1: sign must be +1 or -1"}]}}
 
 
 def test_usage_error_exit_code(capsys):
@@ -182,6 +184,27 @@ def test_build_kind_prints_its_builder(capsys, argv, built):
     code, out, _ = run(capsys, "build", *argv)
     assert code == 0
     assert out == serialize(built())
+
+
+def test_every_violation_reaches_the_user(capsys, monkeypatch):
+    text = serialize(borromean(0, 0, 0)).replace('"sign": -1', '"sign": 7')
+    text = text.replace('"sign": 1', '"sign": 7')
+    lines = [f"bad-sign: crossing x{i}: sign must be +1 or -1"
+             for i in range(1, 7)]
+    code, out, err = run(capsys, "validate", "-", stdin=text,
+                         monkeypatch=monkeypatch)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "error: diagram fails validation: " + lines[0]] + lines[1:]
+    code, out, _ = run(capsys, "--json-errors", "validate", "-", stdin=text,
+                       monkeypatch=monkeypatch)
+    error = json.loads(out)["error"]
+    assert code == 1
+    assert error["message"] == "diagram fails validation: " + lines[0]
+    assert error["location"] == "x1"
+    assert error["violations"] == [
+        {"code": "bad-sign", "message": line.split(": ", 1)[1],
+         "location": f"x{i}"} for i, line in enumerate(lines, start=1)]
 
 
 @pytest.mark.parametrize("text", malformed_documents())

@@ -1,7 +1,13 @@
 """Tensor, permutation, inside-out, sewing, mending, composition."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import cobkit
 from cobkit import (CompositionError, borromean, boundary_profile, compose,
                     h1_closed, h1_cobordism, identity_diagram, inside_out,
                     is_standard_position, linking_matrix, linking_number,
@@ -231,8 +237,10 @@ def test_make_identity_link_matches_convention():
     for i in (1, 2):
         for j in (1, 2):
             assert linking_number(out, f"w1c{i}", f"w2c{j}") == int(i == j)
-    with pytest.raises(CompositionError):
+    with pytest.raises(CompositionError) as err:
         make_identity_link(out, "w1", "w2")   # not clean anymore
+    assert str(err.value) == ("wedge circle w2c1 is not clean; remove its "
+                              "crossings with a move script first")
 
 
 def test_make_identity_link_genus_zero():
@@ -315,9 +323,44 @@ def test_mend_rejects():
             mend(d, u, v)
 
 
+_HASH_SEED_PROBE = """
+from cobkit import R2, apply, borromean, identity_diagram, mend
+from cobkit.editing import DiagramEditor, clasp_events
+from cobkit.errors import CobkitError
+
+try:
+    apply(borromean(0, 0, 0), R2(crossings=("x1", "x2")))
+except CobkitError as exc:
+    print(exc)
+ed = DiagramEditor(identity_diagram(2))
+clasp_events(ed, "u1", 1, "v2", 1, prefix="s")
+try:
+    mend(ed.freeze(), "V", "U")
+except CobkitError as exc:
+    print(exc)
+"""
+
+
+def test_error_messages_do_not_depend_on_hash_seed():
+    """Messages that name circles of a pair list them in the diagram's
+    order, not in a set's, so every interpreter run prints the same."""
+    src = str(pathlib.Path(cobkit.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = [subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_PROBE], capture_output=True,
+        text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+    ).stdout for seed in ("0", "1")]
+    assert outs[0] == outs[1] == (
+        "bigon events are not adjacent on k1\n"
+        "mend pair must clasp index-wise only (crossing s1 joins u1 and "
+        "v2)\n")
+
+
 def _clasp_sites():
     """``(diagram, incoming circle, outgoing circle)`` for every such pair
-    of circles in the wedge corpora, identities, Twist-linked wedge rows
+    of circles in the wedge corpora, identities, wedge rows clasped by
+    ``make_identity_link``
     (bare, and threaded so that the clasp sits at different slots on its
     two circles) and the rejected mend probes."""
     diagrams = [d for color in (INCOMING, OUTGOING)

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from cobkit import (BlowDown, BlowUp, HandleSlide, MoveScript, R1, R2, R3,
-                    Twist, apply, borromean, hopf, identity_diagram, mend,
+                    apply, borromean, hopf, identity_diagram, mend,
                     parse, parse_move_script, search_equivalent, serialize,
                     serialize_move_script, sew, sigma_g_s1_link, tensor,
                     thread_circle, trefoil, unknot, wedge_row)
@@ -102,7 +102,6 @@ def test_move_script_round_trip():
         R2(crossings=("a", "b")), R2(crossings=("a", "b"), over=False),
         R3(site=("k1", 2, 1)), HandleSlide("k1", "k2"),
         HandleSlide("k1", "k2", site=(("k1", 0, 1), ("k2", 1, 1))),
-        Twist(incoming="U", outgoing="V"),
     ))
     text = serialize_move_script(script)
     back = parse_move_script(text)
@@ -136,7 +135,7 @@ def test_move_int_field_takes_a_decimal_string():
     {"kind": "blow_up"},
     {"kind": "r3"},
     {"kind": "r3", "site": "k1"},
-    {"kind": "twist", "incoming": "U"},
+    {"kind": "handle_slide", "moving": "k1"},
     {"kind": "teleport"},
     {"sign": 1},
     ["r1"],
@@ -144,7 +143,7 @@ def test_move_int_field_takes_a_decimal_string():
     {"kind": "blow_up", "sign": 1.7},
     {"kind": "blow_up", "sign": True},
     {"kind": "blow_down", "circle": 5},
-    {"kind": "twist", "incoming": ["U"], "outgoing": "V"},
+    {"kind": "handle_slide", "moving": ["k1"], "over": "k2"},
 ])
 def test_bad_move_reports_its_location(move):
     text = json.dumps({"format_version": "1",
@@ -155,7 +154,7 @@ def test_bad_move_reports_its_location(move):
 
 
 @pytest.mark.parametrize("kind", [["r1"], {"r1": 1}, "R1", "blowup", 1,
-                                  None])
+                                  None, "twist"])
 def test_unknown_move_kind_message(kind):
     text = json.dumps({"format_version": "1", "moves": [{"kind": kind}]})
     with pytest.raises(ParseError) as err:
@@ -209,7 +208,6 @@ def test_serialize_move_script_matches_json_oracle():
         BlowDown: BlowDown("e1"),
         HandleSlide: HandleSlide("k1", "k2",
                                  site=(("k1", 0, 1), ("k2", 1, 1))),
-        Twist: Twist(incoming="U", outgoing="V"),
     }
     assert set(every_field) == set(_HANDLERS)
     scripts = [MoveScript(), MoveScript(tuple(every_field.values()))]

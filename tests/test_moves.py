@@ -6,11 +6,10 @@ import random
 import pytest
 
 from cobkit import (BlowDown, BlowUp, HandleSlide, MoveScript, R1, R2, R3,
-                    Twist, apply, borromean, boundary_profile, h1_closed,
+                    apply, borromean, boundary_profile, h1_closed,
                     h1_cobordism, hopf, identity_diagram, linking_matrix,
                     linking_number, replay, search_equivalent, signature,
-                    structural_iso, tensor, trefoil, unknot, validate,
-                    wedge_row)
+                    structural_iso, tensor, trefoil, unknot, validate)
 from cobkit.editing import DiagramEditor, clasp_events
 from cobkit.errors import MoveError
 
@@ -143,16 +142,6 @@ def test_r3_rejects_cyclic_triangles():
     for mv in sites:
         with pytest.raises(MoveError):
             apply(d, mv)
-
-
-def test_twist_makes_identity_link():
-    d = wedge_row([("outgoing", 2), ("incoming", 2)])
-    out = apply(d, Twist(incoming="w2", outgoing="w1"))
-    for i in (1, 2):
-        for j in (1, 2):
-            assert linking_number(out, f"w1c{i}", f"w2c{j}") == int(i == j)
-    with pytest.raises(MoveError):
-        apply(out, Twist(incoming="w2", outgoing="w1"))   # no longer clean
 
 
 def test_replay_reports_failing_index():
