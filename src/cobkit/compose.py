@@ -282,8 +282,8 @@ def make_identity_link(d: Diagram, u: str, v: str) -> Diagram:
     out = ed.freeze()
     rep = validate(out)
     if not rep.ok:
-        raise CompositionError("twist site is not adjacent: the wedges do "
-                               f"not share a region ({rep.codes()})")
+        raise CompositionError(f"clasping {v} and {u} produced an "
+                               f"unrealizable code ({rep.codes()})")
     return out
 
 

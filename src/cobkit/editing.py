@@ -54,19 +54,6 @@ class DiagramEditor:
         if d is not None:
             self.load(d)
 
-    def copy(self) -> "DiagramEditor":
-        twin = DiagramEditor()
-        twin.events = {k: list(v) for k, v in self.events.items()}
-        twin.circles = dict(self.circles)
-        twin.wedges = dict(self.wedges)
-        twin.signs = dict(self.signs)
-        twin.source_order = list(self.source_order)
-        twin.target_order = list(self.target_order)
-        twin._top = dict(self._top)
-        if self._sorted is not None:
-            twin._sorted = list(self._sorted)
-        return twin
-
     def load(self, d: Diagram):
         """Merge ``d`` after what the editor already holds; its ids must
         not clash with the ones already loaded."""

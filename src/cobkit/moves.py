@@ -14,8 +14,11 @@ Implemented moves
   the usual quadratic rule, realized in the rewritten code.
 * ``HandleSlide(moving, over)`` -- replace the moving circle by its band
   sum with a framing-parallel of the other one.  The companion must be
-  free of self-crossings and the two circles must bound a common face for
-  the band; slides over knotted parallels are a later extension.
+  free of self-crossings.  The band site is a forward dart of each circle
+  on one face, so the band runs in a face on the left of both; unsited,
+  the first such face is taken.  The band's anchor is read from the site
+  and the result validated once.  Slides over knotted parallels are a
+  later extension.
 
 Linking a clean wedge pair into the identity clasp is not a move: it
 changes the cobordism, and :func:`cobkit.compose.make_identity_link`
@@ -363,21 +366,18 @@ def _apply_blow_down(d: Diagram, m: BlowDown) -> Diagram:
 
 # -- handle slide -------------------------------------------------------------
 
-def _band_sites(d: Diagram, moving: str, over: str):
-    """Candidate band sites, best first: for every shared face, a dart of
-    the moving circle paired with a forward dart of the companion.  The
-    push-off must be traversed codirected with the companion, which needs
-    the band to approach from its left, so only forward companion darts
-    qualify."""
-    sites = []
+def _band_site(d: Diagram, moving: str, over: str):
+    """The band site of an unsited slide: in the first face that holds a
+    forward dart of each circle, the smallest such dart of each, or
+    ``None``.  The band runs in that face, which lies on the left of both
+    circles there."""
     for face in CombinatorialMap(d).faces():
-        darts = sorted(face)
+        darts = sorted(dt for dt in face if dt.dir == 1)
         mine = [dt for dt in darts if dt.circle == moving]
-        its = [dt for dt in darts if dt.circle == over and dt.dir == 1]
-        for a in mine:
-            for b in its:
-                sites.append((a, b))
-    return sites
+        its = [dt for dt in darts if dt.circle == over]
+        if mine and its:
+            return mine[0], its[0]
+    return None
 
 
 def _apply_handle_slide(d: Diagram, m: HandleSlide) -> Diagram:
@@ -404,20 +404,16 @@ def _apply_handle_slide(d: Diagram, m: HandleSlide) -> Diagram:
         if site[1].dir != 1:
             raise MoveError("band site must approach the companion from "
                             "its left (forward dart)", m.site)
-        sites = [site]
+        if site[0].dir != 1:
+            raise MoveError("band site must approach the moving circle from "
+                            "its left (forward dart)", m.site)
     else:
-        sites = _band_sites(d, m.moving, m.over)
-        if not sites:
+        site = _band_site(d, m.moving, m.over)
+        if site is None:
             raise MoveError(
                 f"{m.moving} and {m.over} do not border a common face on "
                 "its left; isotope them together first", (m.moving, m.over))
-    last = None
-    for site in sites:
-        try:
-            return _slide_at_site(d, m, site)
-        except MoveError as exc:
-            last = exc
-    raise last
+    return _slide_at_site(d, m, site)
 
 
 def _slide_at_site(d: Diagram, m: HandleSlide, site) -> Diagram:
@@ -428,10 +424,10 @@ def _slide_at_site(d: Diagram, m: HandleSlide, site) -> Diagram:
     lk_ij = linking_number(d, m.moving, m.over)
 
     ed = DiagramEditor(d)
-    side_left = dart_j.dir == 1     # push-off runs on the face side
 
     # Copies of the companion's crossings, in travel order starting just
-    # after the banded arc.
+    # after the banded arc.  The push-off runs on the companion's left,
+    # the face side.
     nj = len(cj.events)
     p_events = []
     inserts_on_others = []   # (circle, slot, before/after, new event)
@@ -443,7 +439,7 @@ def _slide_at_site(d: Diagram, m: HandleSlide, site) -> Diagram:
         xid = ed.new_crossing(x.sign, prefix="p")
         p_events.append(CrossingSlot(xid, ev.role))
         other_role = UNDER if ev.role == OVER else OVER
-        after = x.right_to_left(m.over) == side_left
+        after = x.right_to_left(m.over)
         inserts_on_others.append(
             (other_cid, other_slot, after, CrossingSlot(xid, other_role)))
 
@@ -468,29 +464,19 @@ def _slide_at_site(d: Diagram, m: HandleSlide, site) -> Diagram:
 
     ed.set_framing(m.moving, ci.framing + f_j + 2 * lk_ij)
 
-    # The band anchor must land on a stretch of the banded arc that faces
-    # the push-off's left side; copies inserted into the arc may have
-    # subdivided it, so try each gap and keep the first planar splice.
-    current = ed.events[m.moving]
-    if not ci.events:
-        gaps = [0]
-    else:
-        tail_ev = ci.events[dart_i.arc]
-        tail_idx = current.index(tail_ev)
-        if ci.is_surgery() and dart_i.arc == len(ci.events) - 1:
-            head_idx = len(current)
-        else:
-            head_ev = ci.events[(dart_i.arc + 1) % len(ci.events)]
-            head_idx = current.index(head_ev)
-        gaps = list(range(tail_idx + 1, head_idx + 1))
-    for gap in gaps:
-        trial = ed.copy()
-        trial.insert_events(m.moving, gap, p_events)
-        out = trial.freeze()
-        if validate(out).ok:
-            return out
-    raise MoveError("no planar band anchor on the chosen arc; pick "
-                    "another site", m.site)
+    # The band leaves the banded arc right after its tail event, or after
+    # the push-off's copy of that crossing when the copy landed inside the
+    # arc.  That copy cuts off the sliver between the companion and its
+    # push-off; the sub-arc after it borders the rest of the face, and so
+    # does the push-off's band end after the twists.  Both have that face
+    # on their left, so the band sum is oriented and planar.
+    at = 0
+    if ci.events:
+        tail_copy = any(after for cid, slot, after, _ in inserts_on_others
+                        if (cid, slot) == (m.moving, dart_i.arc))
+        at = ed.events[m.moving].index(ci.events[dart_i.arc]) + 1 + tail_copy
+    ed.insert_events(m.moving, at, p_events)
+    return _check(ed.freeze(), "HandleSlide")
 
 
 _HANDLERS = {

@@ -1337,8 +1337,8 @@ def mutate_document(rng: random.Random, doc):
 def r2_push_oracle(d, m):
     """The R2 push ``apply(d, m)`` must give, found by trial: of the four
     pushes (two chiralities, and the second strand's crossings in either
-    order), the first whose code is planar.  Each trial copies the
-    editor, freezes and validates."""
+    order), the first whose code is planar.  Each trial builds an
+    editor from ``d``, freezes and validates."""
     from cobkit.editing import DiagramEditor
     from cobkit.errors import MoveError
     from cobkit.moves import _as_dart, _pair
@@ -1350,13 +1350,12 @@ def r2_push_oracle(d, m):
     face_of = CombinatorialMap(d).face_of
     if face_of.get(d1) != face_of.get(d2):
         raise MoveError("R2 darts do not border a common face", m.darts)
-    ed = DiagramEditor(d)
     role1 = OVER if m.over else UNDER
     role2 = UNDER if m.over else OVER
     for chirality in (1, -1):
         s = chirality if m.over else -chirality
         for flip in (False, True):
-            trial = ed.copy()
+            trial = DiagramEditor(d)
             n1 = trial.new_crossing(s, prefix="r")
             n2 = trial.new_crossing(-s, prefix="r")
             block1 = [CrossingSlot(n1, role1), CrossingSlot(n2, role1)]
@@ -1377,6 +1376,106 @@ def r2_push_oracle(d, m):
                 return out
     raise MoveError("R2 darts admit no planar push across this face",
                     m.darts)
+
+
+def handle_slide_oracle(d, m):
+    """The ``HandleSlide`` ``apply(d, m)`` must give, found by trial, for
+    band sites with a forward dart on the moving circle: every such site
+    (the given one, or all of them face by face, darts in sorted order),
+    every gap of the banded arc once the push-off's copies are in, and the
+    first splice whose code is planar.  Each trial builds its editor from
+    ``d``, freezes and validates."""
+    from cobkit.diagram import crossings_between, linking_number
+    from cobkit.editing import DiagramEditor
+    from cobkit.errors import MoveError
+    from cobkit.moves import _as_dart, _pair
+    from cobkit.planarity import CombinatorialMap
+
+    for cid in (m.moving, m.over):
+        c = d.circle_by_id.get(cid)
+        if c is None or not c.is_surgery():
+            raise MoveError(
+                f"handle slide needs surgery circles, got {cid}", cid)
+    if m.moving == m.over:
+        raise MoveError("cannot slide a circle over itself")
+    if crossings_between(d, m.over, m.over):
+        raise MoveError(
+            f"companion {m.over} has self-crossings; slides over knotted "
+            "parallels are not implemented", m.over)
+    if m.site is not None:
+        site = tuple(_as_dart(d, s) for s in _pair(m.site, "band site"))
+        face_of = CombinatorialMap(d).face_of
+        if face_of.get(site[0]) != face_of.get(site[1]):
+            raise MoveError("band site darts do not border a common face",
+                            m.site)
+        if site[0].circle != m.moving or site[1].circle != m.over:
+            raise MoveError("band site darts must lie on the sliding "
+                            "circles", m.site)
+        if site[1].dir != 1:
+            raise MoveError("band site must approach the companion from "
+                            "its left (forward dart)", m.site)
+        assert site[0].dir == 1, "the oracle covers forward moving darts"
+        sites = [site]
+    else:
+        sites = [(a, b) for face in CombinatorialMap(d).faces()
+                 for a in sorted(face) for b in sorted(face)
+                 if a.circle == m.moving and a.dir == 1
+                 and b.circle == m.over and b.dir == 1]
+        if not sites:
+            raise MoveError(
+                f"{m.moving} and {m.over} do not border a common face on "
+                "its left; isotope them together first", (m.moving, m.over))
+    ci = d.circle(m.moving)
+    cj = d.circle(m.over)
+    nj = len(cj.events)
+
+    def splice(dart_i, dart_j):
+        """The editor with the push-off's copies and twists in, the
+        push-off's events, and the gaps of the banded arc."""
+        ed = DiagramEditor(d)
+        p_events, inserts = [], []
+        for k in range(nj):
+            ev = cj.events[(dart_j.arc + 1 + k) % nj]
+            x = d.crossing(ev.crossing)
+            other, slot = x.strand(OVER if ev.role == UNDER else UNDER)
+            xid = ed.new_crossing(x.sign, prefix="p")
+            p_events.append(CrossingSlot(xid, ev.role))
+            inserts.append((other, slot, x.right_to_left(m.over),
+                            CrossingSlot(xid, UNDER if ev.role == OVER
+                                         else OVER)))
+        twists = []
+        for _ in range(abs(cj.framing)):
+            s = 1 if cj.framing > 0 else -1
+            t1 = ed.new_crossing(s, prefix="p")
+            t2 = ed.new_crossing(s, prefix="p")
+            first, second = (OVER, UNDER) if s == 1 else (UNDER, OVER)
+            p_events += [CrossingSlot(t1, first), CrossingSlot(t2, second)]
+            twists += [CrossingSlot(t1, second), CrossingSlot(t2, first)]
+        for cid, slot, after, ev in sorted(inserts, key=lambda t: -t[1]):
+            ed.insert_events(cid, slot + 1 if after else slot, [ev])
+        if twists:
+            ed.insert_events(m.over, dart_j.arc + 1 if nj else 0, twists)
+        ed.set_framing(m.moving, ci.framing + cj.framing
+                       + 2 * linking_number(d, m.moving, m.over))
+        current = ed.events[m.moving]
+        if not ci.events:
+            return ed, p_events, [0]
+        tail = current.index(ci.events[dart_i.arc])
+        if dart_i.arc == len(ci.events) - 1:
+            head = len(current)
+        else:
+            head = current.index(ci.events[dart_i.arc + 1])
+        return ed, p_events, range(tail + 1, head + 1)
+
+    for dart_i, dart_j in sites:
+        for gap in splice(dart_i, dart_j)[2]:
+            trial, p_events, _ = splice(dart_i, dart_j)
+            trial.insert_events(m.moving, gap, p_events)
+            out = trial.freeze()
+            if validate(out).ok:
+                return out
+    raise MoveError("no planar band anchor on the chosen arc; pick "
+                    "another site", m.site)
 
 
 def find_clasp_oracle(d, a, b):

@@ -1,5 +1,6 @@
 """Tensor, permutation, inside-out, sewing, mending, composition."""
 
+import importlib
 import os
 import pathlib
 import subprocess
@@ -241,6 +242,24 @@ def test_make_identity_link_matches_convention():
         make_identity_link(out, "w1", "w2")   # not clean anymore
     assert str(err.value) == ("wedge circle w2c1 is not clean; remove its "
                               "crossings with a move script first")
+
+
+def test_make_identity_link_reports_an_unrealizable_clasp(monkeypatch):
+    """The clasped pair is validated once; a failing report names the
+    clasping step and its codes."""
+    from cobkit.planarity import ValidationReport, Violation
+
+    compose_module = importlib.import_module("cobkit.compose")
+
+    def failing(d):
+        return ValidationReport(False, (Violation("non-planar", "stub"),))
+
+    monkeypatch.setattr(compose_module, "validate", failing)
+    d = wedge_row([("outgoing", 1), ("incoming", 1)])
+    with pytest.raises(CompositionError) as err:
+        make_identity_link(d, "w1", "w2")
+    assert str(err.value) == ("clasping w2 and w1 produced an unrealizable "
+                              "code (['non-planar'])")
 
 
 def test_make_identity_link_genus_zero():

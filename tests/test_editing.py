@@ -74,11 +74,6 @@ def test_fresh_id_matches_regex_scan(seed):
     ed = DiagramEditor(relabel(borromean(1, 0, -1), "x"))
     for step in range(120):
         _edit(rng, ed, serial)
-        if rng.random() < 0.3:
-            twin = ed.copy()
-            _edit(rng, twin, serial)
-            for prefix in PREFIXES:
-                assert twin.fresh_id(prefix) == fresh_id_oracle(twin, prefix)
         for prefix in rng.sample(PREFIXES, 3):
             assert ed.fresh_id(prefix) == fresh_id_oracle(ed, prefix), \
                 (seed, step, prefix)

@@ -13,8 +13,9 @@ from cobkit import (BlowDown, BlowUp, HandleSlide, MoveScript, R1, R2, R3,
 from cobkit.editing import DiagramEditor, clasp_events
 from cobkit.errors import MoveError
 
-from conftest import (builder_corpus, outcome, r2_push_oracle,
-                      random_diagram, random_valid_move)
+from conftest import (_decorated_wedge, builder_corpus, handle_slide_oracle,
+                      move_walks, outcome, r2_push_oracle, random_diagram,
+                      random_valid_move)
 
 
 def test_blow_down_isolated_unknot():
@@ -313,10 +314,136 @@ def test_r2_push_validates_once_and_copies_nothing(monkeypatch):
         calls.append(diagram)
         return validate(diagram)
 
-    def no_copy(self):
-        raise AssertionError("the R2 push copied its editor")
-
     monkeypatch.setattr(moves, "validate", counting_validate)
-    monkeypatch.setattr(DiagramEditor, "copy", no_copy)
+    assert not hasattr(DiagramEditor, "copy")
     out = apply(d, R2(darts=(("u1", 0, 1), ("mb1", 1, -1)), over=False))
     assert len(calls) == 1 and calls[0] is out
+
+
+def _forward_band_sites(faces, moving, over):
+    """Every band site with a forward dart on each circle, face by face."""
+    return [(tuple(a), tuple(b)) for face in faces
+            for a in sorted(face) for b in sorted(face)
+            if a.circle == moving and a.dir == 1
+            and b.circle == over and b.dir == 1]
+
+
+def _slide_corpus():
+    """Builder diagrams, seeded walks from random diagrams, and decorated
+    wedges whose surgery circles get framings redrawn in [-3, 3]."""
+    rng = random.Random(24)
+    out = builder_corpus() + move_walks(random.Random(7), 20, 4)
+    for color in ("incoming", "outgoing"):
+        for g in (1, 2):
+            for threads in range(3):
+                for overpasses in range(3):
+                    d = _decorated_wedge(color, g, threads, overpasses)
+                    ed = DiagramEditor(d)
+                    for c in d.surgery_circles():
+                        ed.set_framing(c.id, rng.randint(-3, 3))
+                    out.append(ed.freeze())
+    return out
+
+
+def test_handle_slide_matches_trial_oracle():
+    """The band anchor read from the site is the first planar gap of the
+    first forward site the trial finds, or the same refusal: unsited, and
+    at up to two seeded forward sites of each ordered pair of circles."""
+    from cobkit.planarity import CombinatorialMap
+
+    rng = random.Random(5)
+    seen = set()
+    for d in _slide_corpus():
+        surgery = [c.id for c in d.surgery_circles()]
+        faces = CombinatorialMap(d).faces()
+        for moving in surgery:
+            for over in surgery:
+                if moving == over:
+                    continue
+                sites = _forward_band_sites(faces, moving, over)
+                moves = [HandleSlide(moving, over)] + [
+                    HandleSlide(moving, over, site=site)
+                    for site in rng.sample(sites, min(2, len(sites)))]
+                for m in moves:
+                    got = outcome(apply, d, m)
+                    assert got == outcome(handle_slide_oracle, d, m), m
+                    seen.add((m.site is None, got[0] == "ok"))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def test_handle_slide_validates_once(monkeypatch):
+    from cobkit import moves
+
+    calls = []
+
+    def counting_validate(diagram):
+        calls.append(diagram)
+        return validate(diagram)
+
+    monkeypatch.setattr(moves, "validate", counting_validate)
+    for d, m in [(hopf(0, 0), HandleSlide("k1", "k2")),
+                 (borromean(2, -1, 3), HandleSlide("k1", "k2")),
+                 (hopf(1, -2), HandleSlide("k2", "k1",
+                                           site=(("k2", 0, 1),
+                                                 ("k1", 0, 1))))]:
+        calls.clear()
+        out = apply(d, m)
+        assert len(calls) == 1 and calls[0] is out
+
+
+def test_handle_slide_backward_moving_dart_is_refused():
+    with pytest.raises(MoveError) as err:
+        apply(hopf(0, 1), HandleSlide("k1", "k2",
+                                      site=(("k1", 0, -1), ("k2", 1, 1))))
+    assert str(err.value) == ("band site must approach the moving circle "
+                              "from its left (forward dart)")
+
+
+def _rotated(d, cid, r):
+    """``d`` with the events of circle ``cid`` started ``r`` slots later:
+    the same diagram, read from another point of the circle."""
+    ed = DiagramEditor(d)
+    ed.events[cid] = ed.events[cid][r:] + ed.events[cid][:r]
+    return ed.freeze()
+
+
+def _applies(d, m):
+    return outcome(apply, d, m)[0] == "ok"
+
+
+def test_handle_slide_site_does_not_depend_on_where_events_start():
+    """A band site applies, or is refused, on a diagram and on the copy
+    whose moving circle's events start elsewhere alike."""
+    from cobkit.planarity import CombinatorialMap
+
+    d = hopf(0, 1)
+    rot = _rotated(d, "k1", 1)
+    assert structural_iso(rot, d)
+    assert _applies(d, HandleSlide(
+        "k1", "k2", site=(("k1", 0, -1), ("k2", 1, 1)))) == _applies(
+        rot, HandleSlide("k1", "k2", site=(("k1", 1, -1), ("k2", 1, 1))))
+    seen = set()
+    for d in builder_corpus():
+        surgery = [c.id for c in d.surgery_circles()]
+        if len(surgery) != 2:
+            continue
+        faces = CombinatorialMap(d).faces()
+        for moving in surgery:
+            n = len(d.circle(moving).events)
+            for over in surgery:
+                if moving == over:
+                    continue
+                sites = [(a, b) for face in faces for a in face
+                         for b in face
+                         if a.circle == moving and b.circle == over]
+                for r in range(1, n):
+                    rot = _rotated(d, moving, r)
+                    for a, b in sites:
+                        moved = ((moving, (a.arc - r) % n, a.dir), tuple(b))
+                        here = _applies(d, HandleSlide(
+                            moving, over, site=(tuple(a), tuple(b))))
+                        assert here == _applies(rot, HandleSlide(
+                            moving, over, site=moved)), (moving, over, r, a, b)
+                        seen.add(here)
+    assert seen == {True, False}
