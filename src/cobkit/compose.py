@@ -27,7 +27,9 @@ first.
 
 Merges relabel their inputs deterministically: after ``tensor(a, b)`` or
 ``sew(dc, u, dd, v)`` the ids of the first argument carry the prefix
-``c.`` and those of the second ``d.``.
+``c.`` and those of the second ``d.``.  ``sew`` makes no relabeled copy:
+it reads its bands and the host's crossings from the two inputs, and
+loads both into one editor, which puts the prefixes on as it loads.
 """
 
 from __future__ import annotations
@@ -109,15 +111,9 @@ def _wedge(d: Diagram, wid: str, color: str):
     return w
 
 
-def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
-    """Turn ``d`` into a pattern within a handlebody by deleting the
-    outgoing wedge ``u`` and recording its membrane traffic.
-
-    Precondition: every excursion into a membrane of ``u`` must be bare
-    (no events strictly inside it); decompose tangled passes with moves
-    first.
-    """
-    w = _wedge(d, u, OUTGOING)
+def _bands(d: Diagram, w) -> tuple:
+    """The membrane traffic of each circle of the outgoing wedge ``w`` of
+    ``d``: per circle, its band events in membrane order."""
     # Deleting the wedge removes every crossing on its circles; a band
     # event's gap is where its enter slot lands once they are gone.
     dead = {e.crossing for cid in w.circle_ids
@@ -132,7 +128,7 @@ def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
                     "pull foreign events out of the membrane first")
             if e.strand in w.circle_ids:
                 raise MalformedDiagramError(
-                    f"circles {cid} and {e.strand} of wedge {u} cross")
+                    f"circles {cid} and {e.strand} of wedge {w.id} cross")
             events.append(BandEvent(
                 kind=e.kind(), strand=e.strand,
                 direction=d.crossing(e.anchor).sign if e.is_piercing else 0,
@@ -141,8 +137,21 @@ def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
                 seq=e.enter_slot,
                 enter_sign=0 if e.is_piercing else d.crossing(e.enter).sign))
         bands.append(tuple(events))
+    return tuple(bands)
+
+
+def inside_out(d: Diagram, u: str) -> HandlebodyPattern:
+    """Turn ``d`` into a pattern within a handlebody by deleting the
+    outgoing wedge ``u`` and recording its membrane traffic.
+
+    Precondition: every excursion into a membrane of ``u`` must be bare
+    (no events strictly inside it); decompose tangled passes with moves
+    first.
+    """
+    w = _wedge(d, u, OUTGOING)
+    bands = _bands(d, w)
     return HandlebodyPattern(
-        genus=w.genus, interior=delete_wedge(d, u), bands=tuple(bands),
+        genus=w.genus, interior=delete_wedge(d, u), bands=bands,
         target_label=list(d.target_order).index(u))
 
 
@@ -166,34 +175,33 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
     if wu.genus != wv.genus:
         raise GenusMismatchError(
             f"cannot sew genus {wu.genus} to genus {wv.genus}")
+    bands = _bands(dc, wu)
 
-    pattern = inside_out(dc, u)
-    plant = relabel(pattern.interior, "c.")
-    host = relabel(dd, "d.")
-    v_id = "d." + v
-    ed = DiagramEditor(host)
-    ed.load(plant)
+    # One editor holds ``dd`` under ``d.`` and the interior of ``dc``
+    # (``dc`` under ``c.`` less the wedge ``u``); the host's crossings
+    # and circles are read from ``dd`` itself.
+    ed = DiagramEditor()
+    ed.load(dd, "d.")
+    ed.load(dc, "c.")
+    ed.remove_wedge("c." + u)
 
     # Splice blocks accumulate per interior strand: (gap, seq, events).
     splices = {}
 
-    wv_host = host.wedge(v_id)
-    for band_index, vcid in enumerate(wv_host.circle_ids):
-        markers = [replace(e, strand="c." + e.strand)
-                   for e in pattern.bands[band_index]]
+    for band, vcid in zip(bands, wv.circle_ids):
+        markers = [replace(e, strand="c." + e.strand) for e in band]
         cables = [m for m in markers if m.kind == "traverse"]
         n = len(cables)
-        vc = host.circle(vcid)
-        inherited = [(slot, ev) for slot, ev in enumerate(vc.events)
+        inherited = [ev for ev in dd.circle(vcid).events
                      if isinstance(ev, CrossingSlot)]
 
         # Fresh crossings: one copy of every inherited crossing per cable.
         copies = {}
-        for j, (slot, ev) in enumerate(inherited):
-            x = host.crossing(ev.crossing)
+        for j, ev in enumerate(inherited):
+            x = dd.crossing(ev.crossing)
             if {x.over[0], x.under[0]} == {vcid}:
                 raise NotStandardPositionError(
-                    f"wedge circle {vcid} has self-crossings")
+                    f"wedge circle d.{vcid} has self-crossings")
             for k, cable in enumerate(cables):
                 xid = ed.new_crossing(x.sign * cable.direction, prefix="s")
                 copies[(j, k)] = xid
@@ -202,7 +210,7 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
         blocks = []
         for k, cable in enumerate(cables):
             block = []
-            for j, (slot, ev) in enumerate(inherited):
+            for j, ev in enumerate(inherited):
                 block.append(CrossingSlot(copies[(j, k)], ev.role))
             if cable.direction == -1:
                 block.reverse()
@@ -211,15 +219,16 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
                 (cable.gap, cable.seq, block))
 
         # Host strands now cross the bundle where they crossed the circle.
-        for j, (slot, ev) in enumerate(inherited):
-            x = host.crossing(ev.crossing)
+        for j, ev in enumerate(inherited):
+            x = dd.crossing(ev.crossing)
             other_role = UNDER if ev.role == OVER else OVER
-            t_cid, t_slot = x.strand(other_role)
+            t_cid = "d." + x.strand(other_role)[0]
             block = [CrossingSlot(copies[(j, k)], other_role)
                      for k in range(n)]
             if not x.right_to_left(vcid):
                 block.reverse()
-            at = ed.events[t_cid].index(host.circle(t_cid).events[t_slot])
+            at = ed.events[t_cid].index(
+                CrossingSlot("d." + x.id, other_role))
             ed.replace_event(t_cid, at, block)
 
         # Over/under band events cross the whole bundle at the neck.
@@ -246,7 +255,7 @@ def sew(dc: Diagram, u: str, dd: Diagram, v: str) -> Diagram:
             splices.setdefault(m.strand, []).append(
                 (m.gap, m.seq, out_block + list(reversed(in_block))))
 
-    ed.remove_wedge(v_id)
+    ed.remove_wedge("d." + v)
     for strand, blocks in splices.items():
         for gap, seq, block in sorted(blocks, key=lambda t: (-t[0], -t[1])):
             ed.insert_events(strand, gap, block)

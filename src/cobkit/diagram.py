@@ -300,8 +300,9 @@ def writhe(d: Diagram, a: str) -> int:
 def relabel(d: Diagram, prefix: str) -> Diagram:
     """A structurally identical copy with every id prefixed.
 
-    Used by the merge operations (tensor, sew) to keep ids collision-free
-    and deterministic.
+    Used by ``tensor`` to keep ids collision-free and deterministic;
+    ``DiagramEditor.load(d, prefix)`` puts the same prefixes on as it
+    loads, with no copy.
     """
 
     def r(i):

@@ -54,17 +54,29 @@ class DiagramEditor:
         if d is not None:
             self.load(d)
 
-    def load(self, d: Diagram):
-        """Merge ``d`` after what the editor already holds; its ids must
-        not clash with the ones already loaded."""
+    def load(self, d: Diagram, prefix=""):
+        """Merge ``d`` after what the editor already holds, with ``prefix``
+        put before each of its ids (as ``relabel(d, prefix)`` has them);
+        they must not clash with the ids already loaded."""
         for c in d.circles:
-            self._add_circle(c.id, c, c.events)
+            header, events = c, c.events
+            if prefix:
+                header = Circle(prefix + c.id, c.kind, framing=c.framing,
+                                wedge=None if c.wedge is None
+                                else prefix + c.wedge, index=c.index)
+                events = [CrossingSlot(prefix + e.crossing, e.role)
+                          if isinstance(e, CrossingSlot) else e
+                          for e in c.events]
+            self._add_circle(header.id, header, events)
         for w in d.wedges:
+            if prefix:
+                w = Wedge(prefix + w.id, w.color,
+                          tuple(prefix + cid for cid in w.circle_ids))
             self._take(self.wedges, w.id, w)
         for x in d.crossings:
-            self._take(self.signs, x.id, x.sign)
-        self.source_order.extend(d.source_order)
-        self.target_order.extend(d.target_order)
+            self._take(self.signs, prefix + x.id, x.sign)
+        self.source_order.extend(prefix + w for w in d.source_order)
+        self.target_order.extend(prefix + w for w in d.target_order)
 
     # -- id management ---------------------------------------------------
 

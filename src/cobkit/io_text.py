@@ -20,13 +20,19 @@ and ``index``), so the first bad field is the one reported.  Locations
 are nested ``(parent, key)`` pairs, built only on that fallback path,
 and their text only when a ``ParseError`` is raised.
 
-Both documents are written by one small recursive writer, ``_write``,
-whose bytes equal ``json.dumps(doc, sort_keys=True, separators=(",",
-": "), indent=1)``.  ``json.dumps`` itself is not used for output: any
-``indent`` makes ``json`` fall back from its C encoder to the pure-Python
-one, which costs about twice the writer's time and leaves its nested
-closures behind as reference cycles on every call.  The output bytes
-are pinned by the golden files, so the writer may not differ by one.
+The output bytes equal ``json.dumps(doc, sort_keys=True, separators=(",",
+": "), indent=1)`` of the document, and the golden files pin them, so no
+writer may differ by one.  ``json.dumps`` itself is not used for output:
+any ``indent`` makes ``json`` fall back from its C encoder to the
+pure-Python one, which is slow and leaves its nested closures behind as
+reference cycles on every call.  A diagram document has a fixed shape,
+so ``serialize`` writes it from the dataclasses with one template per
+node kind (an event, a surgery or wedge circle, a crossing, a wedge, an
+id list) at its fixed indent, rather than build the document tree and
+walk it token by token; a diagram with a field outside the schema's
+types goes through its document instead.  Metadata (whose key sorts
+last) and move scripts are written by one small recursive writer,
+``_write``.
 """
 
 from __future__ import annotations
@@ -265,15 +271,24 @@ def _atom(value):
     return None
 
 
+def _scalar(value):
+    """JSON text of a scalar (a string, number, boolean or None)."""
+    if isinstance(value, str):
+        return _quote(value)
+    text = _atom(value)
+    if text is None:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+    return text
+
+
 def _write(value, out, pad):
     """Append the JSON text of ``value`` to ``out``, with sorted keys and
     one space of indent per level; ``pad`` is the newline and indent of
     the line ``value`` ends on.  Separators and indents go in as shared
     strings rather than joined per item, so ``out`` holds no more string
     objects than the stdlib encoder's chunk list."""
-    if isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         sep, inner = "{", pad + " "
         for key, item in sorted(value.items()):
             name = key if isinstance(key, str) else _atom(key)
@@ -292,11 +307,7 @@ def _write(value, out, pad):
             sep = ","
         out += (pad, "]") if value else ("[]",)
     else:
-        text = _atom(value)
-        if text is None:
-            raise TypeError(f"Object of type {type(value).__name__} "
-                            "is not JSON serializable")
-        out.append(text)
+        out.append(_scalar(value))
 
 
 def _dumps(doc) -> str:
@@ -307,9 +318,94 @@ def _dumps(doc) -> str:
     return "".join(out)
 
 
+# -- the diagram writer -------------------------------------------------------
+#
+# The diagram document has a fixed shape, so each node kind is written by
+# one template at its fixed depth: depth k is indented by k spaces, with the
+# document's keys at 1, the diagram's at 2, its circles, crossings, wedges
+# and boundary ids at 3, their fields at 4, events, strand pairs and wedge
+# circle ids at 5, and event fields at 6.  The templates spell out what
+# ``_write`` writes for the document ``diagram_to_document`` builds.  An
+# integer field that is not a plain ``int`` (a ``bool`` framing, say) is
+# written by ``_scalar``, as ``_write`` writes it.
+
+_PAD = tuple("\n" + " " * k for k in range(7))
+_SEP = tuple("," + pad for pad in _PAD)
+
+
+def _list_at(items, depth):
+    """A JSON list of written ``items`` at ``depth``."""
+    if not items:
+        return "[]"
+    return f"[{_PAD[depth]}{_SEP[depth].join(items)}{_PAD[depth - 1]}]"
+
+
+def _ids_at(ids, depth):
+    return _list_at([_quote(i) for i in ids], depth)
+
+
+def _circle_text(c):
+    q = _quote
+    events = _list_at([
+        f'[\n      "x",\n      {q(e.crossing)},\n      {q(e.role)}\n     ]'
+        if isinstance(e, CrossingSlot) else
+        f'[\n      "center",\n      {q(e.which)}\n     ]'
+        for e in c.events], 5)
+    if c.is_surgery():
+        framing = c.framing
+        if type(framing) is not int or abs(framing) > _INT64_MAX:
+            framing = _scalar(_int_out(framing))
+        return (f'{{\n    "events": {events},\n    "framing": {framing},'
+                f'\n    "id": {q(c.id)},\n    "kind": {q(c.kind)}\n   }}')
+    index = c.index if type(c.index) is int else _scalar(c.index)
+    return (f'{{\n    "events": {events},\n    "id": {q(c.id)},'
+            f'\n    "index": {index},\n    "kind": {q(c.kind)},'
+            f'\n    "wedge": {q(c.wedge)}\n   }}')
+
+
+def _crossing_text(x):
+    q = _quote
+    over, sign, under = x.over[1], x.sign, x.under[1]
+    if not (type(over) is type(sign) is type(under) is int):
+        over, sign, under = _scalar(over), _scalar(sign), _scalar(under)
+    return (f'{{\n    "id": {q(x.id)},\n    "over": [\n     {q(x.over[0])},'
+            f'\n     {over}\n    ],\n    "sign": {sign},\n    "under": ['
+            f'\n     {q(x.under[0])},\n     {under}\n    ]\n   }}')
+
+
+def _wedge_text(w):
+    return (f'{{\n    "circles": {_ids_at(w.circle_ids, 5)},'
+            f'\n    "color": {_quote(w.color)},\n    "id": {_quote(w.id)}'
+            f'\n   }}')
+
+
+def _body_text(d: Diagram) -> str:
+    """The document up to its last key, the format version."""
+    circles = _list_at([_circle_text(c) for c in d.circles], 3)
+    crossings = _list_at([_crossing_text(x) for x in d.crossings], 3)
+    wedges = _list_at([_wedge_text(w) for w in d.wedges], 3)
+    return (f'{{\n "diagram": {{\n  "circles": {circles},'
+            f'\n  "crossings": {crossings},'
+            f'\n  "source_order": {_ids_at(d.source_order, 3)},'
+            f'\n  "target_order": {_ids_at(d.target_order, 3)},'
+            f'\n  "wedges": {wedges}\n }},'
+            f'\n "format_version": {_quote(FORMAT_VERSION)}')
+
+
 def serialize(d: Diagram, metadata=None) -> str:
     """Canonical text for a valid diagram; deterministic across runs."""
-    return _dumps(diagram_to_document(d, metadata))
+    try:
+        body = _body_text(d)
+    except TypeError:
+        # A field outside the schema's types (an id that is not a string,
+        # say) has no template; ``_write`` writes any JSON value.
+        return _dumps(diagram_to_document(d, metadata))
+    if not metadata:
+        return body + "\n}\n"
+    out = [body, ',\n "metadata": ']
+    _write(metadata, out, "\n ")
+    out.append("\n}\n")
+    return "".join(out)
 
 
 def document_to_diagram(doc) -> Diagram:

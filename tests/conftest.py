@@ -1512,3 +1512,100 @@ def find_clasp_oracle(d, a, b):
                 return e1.crossing, e2.crossing, sa, sb
     raise CompositionError(
         f"{a} and {b} are not in the identity-link configuration")
+
+
+# -- the relabeling sew, kept as an oracle ------------------------------------
+
+def sew_oracle(dc, u, dd, v):
+    """What ``sew(dc, u, dd, v)`` must return or raise, built the way it
+    was before it loaded both diagrams into one editor: ``inside_out`` of
+    ``dc`` (the interior frozen with the wedge deleted), both diagrams
+    relabeled by ``relabel``, and the host's crossings read from its
+    relabeled copy."""
+    from dataclasses import replace as _replace
+
+    from cobkit.compose import _wedge, inside_out
+    from cobkit.diagram import relabel
+    from cobkit.editing import DiagramEditor
+    from cobkit.errors import CompositionError, GenusMismatchError
+
+    wv = _wedge(dd, v, INCOMING)
+    wu = _wedge(dc, u, OUTGOING)
+    if wu.genus != wv.genus:
+        raise GenusMismatchError(
+            f"cannot sew genus {wu.genus} to genus {wv.genus}")
+    pattern = inside_out(dc, u)
+    plant = relabel(pattern.interior, "c.")
+    host = relabel(dd, "d.")
+    v_id = "d." + v
+    ed = DiagramEditor(host)
+    ed.load(plant)
+    splices = {}
+    for band_index, vcid in enumerate(host.wedge(v_id).circle_ids):
+        markers = [_replace(e, strand="c." + e.strand)
+                   for e in pattern.bands[band_index]]
+        cables = [m for m in markers if m.kind == "traverse"]
+        n = len(cables)
+        inherited = [(slot, ev) for slot, ev
+                     in enumerate(host.circle(vcid).events)
+                     if isinstance(ev, CrossingSlot)]
+        copies = {}
+        for j, (slot, ev) in enumerate(inherited):
+            x = host.crossing(ev.crossing)
+            if {x.over[0], x.under[0]} == {vcid}:
+                raise NotStandardPositionError(
+                    f"wedge circle {vcid} has self-crossings")
+            for k, cable in enumerate(cables):
+                copies[(j, k)] = ed.new_crossing(x.sign * cable.direction,
+                                                 prefix="s")
+        blocks = []
+        for k, cable in enumerate(cables):
+            block = [CrossingSlot(copies[(j, k)], ev.role)
+                     for j, (slot, ev) in enumerate(inherited)]
+            if cable.direction == -1:
+                block.reverse()
+            blocks.append(block)
+            splices.setdefault(cable.strand, []).append(
+                (cable.gap, cable.seq, block))
+        for j, (slot, ev) in enumerate(inherited):
+            x = host.crossing(ev.crossing)
+            other_role = UNDER if ev.role == OVER else OVER
+            t_cid, t_slot = x.strand(other_role)
+            block = [CrossingSlot(copies[(j, k)], other_role)
+                     for k in range(n)]
+            if not x.right_to_left(vcid):
+                block.reverse()
+            at = ed.events[t_cid].index(host.circle(t_cid).events[t_slot])
+            ed.replace_event(t_cid, at, block)
+        for m in markers:
+            if m.kind == "traverse":
+                continue
+            role = OVER if m.kind == "over" else UNDER
+            cable_role = UNDER if m.kind == "over" else OVER
+            out_block, in_block = [], []
+            for cable, block in zip(cables, blocks):
+                x_out = ed.new_crossing(m.enter_sign * cable.direction,
+                                        prefix="s")
+                x_in = ed.new_crossing(-m.enter_sign * cable.direction,
+                                       prefix="s")
+                out_block.append(CrossingSlot(x_out, role))
+                in_block.append(CrossingSlot(x_in, role))
+                head = CrossingSlot(x_out, cable_role)
+                tail = CrossingSlot(x_in, cable_role)
+                if cable.direction == -1:
+                    head, tail = tail, head
+                block.insert(0, head)
+                block.append(tail)
+            splices.setdefault(m.strand, []).append(
+                (m.gap, m.seq, out_block + list(reversed(in_block))))
+    ed.remove_wedge(v_id)
+    for strand, blocks in splices.items():
+        for gap, seq, block in sorted(blocks, key=lambda t: (-t[0], -t[1])):
+            ed.insert_events(strand, gap, block)
+    out = ed.freeze()
+    rep = validate(out)
+    if not rep.ok:
+        raise CompositionError(
+            f"sewing produced an unrealizable code ({rep.codes()}); the "
+            "gluing region is obstructed, simplify the diagrams first")
+    return out

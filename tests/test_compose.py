@@ -3,6 +3,7 @@
 import importlib
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -12,15 +13,16 @@ import cobkit
 from cobkit import (CompositionError, borromean, boundary_profile, compose,
                     h1_closed, h1_cobordism, identity_diagram, inside_out,
                     is_standard_position, linking_matrix, linking_number,
-                    make_identity_link, mend, overpass_circle, permute, sew,
-                    sigma_g_s1_link, structural_iso, tensor, thread_circle,
-                    unknot, validate, wedge_row)
+                    make_identity_link, mend, overpass_circle, permute,
+                    serialize, sew, sigma_g_s1_link, structural_iso, tensor,
+                    thread_circle, unknot, validate, wedge_row)
 from cobkit.compose import _find_clasp, delete_wedge
 from cobkit.diagram import INCOMING, OUTGOING, OVER, UNDER, CrossingSlot
 from cobkit.editing import DiagramEditor, clasp_events
 from cobkit.errors import GenusMismatchError, MalformedDiagramError
 
-from conftest import corpus_with_wedge, find_clasp_oracle, outcome
+from conftest import (corpus_with_wedge, find_clasp_oracle, outcome,
+                      random_valid_move, sew_oracle)
 
 
 # -- tensor -------------------------------------------------------------------
@@ -215,6 +217,90 @@ def test_sew_surgery_bookkeeping(outgoing_corpus):
         assert len(out.surgery_circles()) == len(d.surgery_circles())
         assert len(out.wedge_circles()) == \
             len(d.wedge_circles()) - g + g   # consumed wedge replaced
+
+
+def _decorated_row(rng, gmax, kmax):
+    """``wedge_row([("incoming", g), ("outgoing", g)])`` with up to
+    ``kmax`` threads (random sign) or overpasses (random height) on each
+    wedge circle, framings in [-1, 1]."""
+    g = rng.randint(1, gmax)
+    d = wedge_row([("incoming", g), ("outgoing", g)])
+    k = 0
+    for cid in [c.id for c in d.wedge_circles()]:
+        for _ in range(rng.randint(0, kmax)):
+            k += 1
+            if rng.random() < 0.6:
+                d = thread_circle(d, cid, f"s{k}", framing=rng.randint(-1, 1),
+                                  sign=rng.choice((1, -1)))
+            else:
+                d = overpass_circle(d, cid, f"s{k}",
+                                    framing=rng.randint(-1, 1),
+                                    above=rng.random() < 0.5)
+    return g, d
+
+
+def test_sew_matches_relabeling_oracle():
+    """Seeded decorated rows sewn through identities on either side, re-sewn,
+    sewn at the wrong color or genus, and walked by random moves (which
+    leave foreign events in membranes): the result's text, or the
+    exception class and message, equals the relabeling sew's."""
+    rng = random.Random(28)
+    cases = []
+    for _ in range(60):
+        g, a = _decorated_row(rng, 3, 3)
+        ident = identity_diagram(g)
+        cases += [(a, "w2", ident, "U"), (ident, "V", a, "w1"),
+                  (a, "w1", ident, "U"),
+                  (a, "w2", identity_diagram(g + 1), "U")]
+        first = outcome(sew, a, "w2", ident, "U")
+        if first[0] == "ok":
+            cases += [(first[1], "d.V", ident, "U"),
+                      (first[1], "d.V", a, "w1")]
+    for _ in range(30):
+        g, a = _decorated_row(rng, 2, 2)
+        for _ in range(6):
+            step = random_valid_move(rng, a)
+            if step is not None:
+                a = step[1]
+        ident = identity_diagram(g)
+        cases += [(a, "w2", ident, "U"), (ident, "V", a, "w1")]
+    # A wedge circle crossing itself (which ``validate`` rejects).
+    ed = DiagramEditor(wedge_row([("incoming", 1)]))
+    x = ed.new_crossing(1)
+    ed.insert_events("w1c1", 1, [CrossingSlot(x, OVER),
+                                 CrossingSlot(x, UNDER)])
+    cases.append((identity_diagram(1), "V", ed.freeze(), "w1"))
+
+    def text(result):
+        return ("ok", serialize(result[1])) if result[0] == "ok" else result
+
+    messages = set()
+    for case in cases:
+        got = text(outcome(sew, *case))
+        assert got == text(outcome(sew_oracle, *case)), case
+        messages.add("ok" if got[0] == "ok" else got[1])
+    assert {"ok", "w1 is not an outgoing wedge",
+            "cannot sew genus 2 to genus 3",
+            "wedge circle d.w1c1 has self-crossings"} <= messages
+    for start in ("excursion of", "sewing produced an unrealizable code"):
+        assert any(m.startswith(start) for m in messages)
+
+
+def test_sew_relabels_no_copy_and_freezes_once(monkeypatch):
+    a = thread_circle(wedge_row([("outgoing", 2)]), "w1c2", "s1")
+    ident = identity_diagram(2)
+    expected = serialize(sew_oracle(a, "w1", ident, "U"))
+    compose_module = importlib.import_module("cobkit.compose")
+    calls = []
+    monkeypatch.setattr(compose_module, "relabel", lambda *a: calls.append(a))
+    monkeypatch.setattr(compose_module, "delete_wedge",
+                        lambda *a: calls.append(a))
+    freeze = DiagramEditor.freeze
+    monkeypatch.setattr(DiagramEditor, "freeze",
+                        lambda ed: calls.append("freeze") or freeze(ed))
+    out = sew(a, "w1", ident, "U")
+    assert calls == ["freeze"]
+    assert serialize(out) == expected
 
 
 def test_reinflate_into_bare_wedge_deletes_the_wedge(outgoing_corpus):

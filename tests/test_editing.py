@@ -6,11 +6,13 @@ import random
 
 import pytest
 
-from cobkit import borromean, identity_diagram, relabel, trefoil, unknot
+from cobkit import (borromean, hopf, identity_diagram, relabel, trefoil,
+                    unknot)
 from cobkit.diagram import CrossingSlot, OVER, UNDER
 from cobkit.editing import DiagramEditor
+from cobkit.errors import MalformedDiagramError
 
-from conftest import fresh_id_oracle
+from conftest import builder_corpus, fresh_id_oracle
 
 # Prefixes that overlap each other and the ids below: "x" and "x1" both
 # read "x12", "" reads all-digit ids, and "w" reads the wedge ids.
@@ -104,3 +106,24 @@ def test_fresh_id_new_prefixes_after_edits(seed):
         for _ in range(rng.randrange(3)):
             ed.new_crossing(rng.choice([1, -1]), prefix=prefix)
             assert ed.fresh_id(prefix) == fresh_id_oracle(ed, prefix)
+
+
+def test_load_with_prefix_equals_load_of_relabel():
+    for d in builder_corpus():
+        for prefix in ("d.", "c.", ""):
+            ed = DiagramEditor()
+            ed.load(d, prefix)
+            assert ed.freeze() == DiagramEditor(relabel(d, prefix)).freeze()
+
+
+def test_load_with_prefix_refuses_a_clash():
+    ed = DiagramEditor()
+    ed.load(identity_diagram(1), "d.")
+    ed.load(identity_diagram(1), "c.")
+    with pytest.raises(MalformedDiagramError):
+        ed.load(identity_diagram(1), "d.")
+    with pytest.raises(MalformedDiagramError):       # only x1, x2 clash
+        ed.load(hopf(0, 0), "c.")
+    with pytest.raises(MalformedDiagramError):
+        DiagramEditor(relabel(identity_diagram(1), "c.")).load(
+            identity_diagram(1), "c.")

@@ -7,11 +7,14 @@ import random
 
 import pytest
 
-from cobkit import (BlowDown, BlowUp, HandleSlide, MoveScript, R1, R2, R3,
-                    apply, borromean, hopf, identity_diagram, mend,
-                    parse, parse_move_script, search_equivalent, serialize,
+from cobkit import (BlowDown, BlowUp, Circle, Crossing, Diagram,
+                    HandleSlide, MoveScript, R1, R2, R3, apply, borromean,
+                    empty_diagram, hopf, identity_diagram, mend, parse,
+                    parse_move_script, relabel, search_equivalent, serialize,
                     serialize_move_script, sew, sigma_g_s1_link, tensor,
                     thread_circle, trefoil, unknot, wedge_row)
+from cobkit.diagram import (DEPART, OVER, RETURN, SURGERY, WEDGE,
+                            CrossingSlot)
 from cobkit.errors import ParseError
 from cobkit.moves import _HANDLERS
 from conftest import (builder_corpus, malformed_documents, move_walks,
@@ -177,8 +180,43 @@ def test_serialize_matches_json_oracle():
                      mend(identity_diagram(g), "V", "U")]
     diagrams += [unknot(2 ** 70), unknot(-2 ** 63), unknot(2 ** 63 - 1),
                  hopf(-2 ** 90, 5)]
+    # What a writer from the schema can get wrong: ids that need escapes,
+    # empty lists, two-digit indices, framings at and past 64 bits, and
+    # framings that are not plain ints.
+    diagrams += [relabel(d, prefix)
+                 for d in (hopf(1, -2), identity_diagram(2),
+                           wedge_row([("incoming", 1), ("outgoing", 0)]))
+                 for prefix in ('q"', "b\\", "c\x01\t", "caf\u00e9 \u2603 "
+                                "\U0001f600 ")]
+    diagrams += [empty_diagram(), wedge_row([("incoming", 0)]),
+                 wedge_row([("outgoing", 12)]), unknot(0), unknot(2 ** 63),
+                 unknot(-2 ** 63 - 1), hopf(2 ** 63, -2 ** 63)]
+    diagrams += [Diagram(circles=(Circle("k", SURGERY, framing=framing),))
+                 for framing in (True, False, 2 ** 63 + 0.5, -1.5)]
+    diagrams += [Diagram(crossings=(Crossing("x", ("a", True), ("b", 2), -1),
+                                    Crossing("y", ("a", 1), ("b", 2), True),
+                                    Crossing("z", ("a", 1), ("b", False),
+                                             1)))]
+    diagrams += [Diagram(circles=(
+        Circle("u", WEDGE, (DEPART, RETURN), wedge="W", index=True),
+        Circle("v", WEDGE, (DEPART, RETURN), wedge="W")))]
     for d in diagrams:
         assert serialize(d) == serialize_oracle(d)
+    for d in (identity_diagram(2), wedge_row([("incoming", 0)]),
+              relabel(thread_circle(wedge_row([("incoming", 1)]), "w1c1",
+                                    "s1"), "\u00fc\"")):
+        metadata = {"note": "wedges", "n": [2 ** 70, None]}
+        assert serialize(d, metadata) == serialize_oracle(d, metadata)
+
+
+def test_serialize_writes_ids_of_other_types_as_json_does():
+    """A field outside the schema's types has no template; the diagram is
+    then written from its document."""
+    d = Diagram(circles=(Circle(5, SURGERY, (CrossingSlot(7, OVER),)),
+                         Circle("k", WEDGE, (DEPART, RETURN))),
+                crossings=(Crossing(7, (5, 0), ("k", 1), [1]),))
+    assert serialize(d) == serialize_oracle(d)
+    assert serialize(d, {"m": 1}) == serialize_oracle(d, {"m": 1})
 
 
 @pytest.mark.parametrize("metadata", [
